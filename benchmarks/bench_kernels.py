@@ -1,23 +1,23 @@
-"""Fused-kernel micro-benchmark: packed CSR base vs legacy tile dicts.
+"""Slab-executor micro-benchmark: window and count latency vs tiles touched.
 
-Measures the per-query wall time of 2-layer window queries as a function
-of *tiles touched* (window area sweep), once per storage backend.  The
-packed backend evaluates each query with the fused region kernels over
-the CSR base (:mod:`repro.grid.storage`); the legacy backend walks the
-per-tile dictionaries.  The gap is the PR's headline: Python/dict
-overhead per tile versus O(regions) vectorised passes, so the speedup
-should *grow* with the number of tiles a query touches.
+Measures the per-query wall time of 2-layer ``window_query`` and
+``count_window`` as a function of *tiles touched* (window area sweep).
+Both verbs run through the one slab executor
+(:func:`repro.grid.kernels.window_slabs`) over the packed CSR base, so
+the two columns should track each other, count slightly ahead (no id
+materialisation).
 
-When the ``compiled`` extra (numba) is installed the sweep adds a third
-backend — ``storage="compiled"``, the jitted condition-major kernels of
-:mod:`repro.grid.kernels` — and gates it at a mean >= 5x over the
-vectorised packed tier (full scale only).  Without numba the compiled
-column simply does not exist: the series keys and params stay stable,
-so baseline comparisons never mix the two environments.
+The executor's tier is "is numba installed".  Without numba the record
+holds the vectorised NumPy tier only (series ``packed_*``).  With the
+``compiled`` extra the sweep runs twice — once with the jitted body
+(``compiled_*``) and once with the NumPy body forced for comparison
+(``packed_*``, same keys as a numba-free run) — and gates the jitted
+tier at a mean >= 5x over the vectorised one (full scale only).
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 
 import pytest
@@ -30,34 +30,43 @@ from repro.bench import (
     window_workload,
 )
 from repro.core import TwoLayerGrid
-from repro.grid.kernels import compiled_available
+from repro.grid import kernels
 from repro.stats import QueryStats
 
 from _shared import emit_bench_record
 from conftest import report
 
-_STORAGES = ("packed", "legacy") + (
-    ("compiled",) if compiled_available() else ()
-)
+_TIERS = ("packed",) + (("compiled",) if kernels.compiled_available() else ())
 _MIN_COMPILED_SPEEDUP = 5.0
 #: window area sweep (% of the domain) — larger windows touch more tiles.
 _AREAS = (0.05, 0.1, 0.5, 1.0)
 _DATASET = "ROADS"
 
-_LATENCY: dict[tuple[str, str], float] = {}  # (storage, area label) -> µs
+_LATENCY: dict[tuple[str, str, str], float] = {}  # (tier, verb, area) -> µs
 _TILES: dict[str, float] = {}  # area label -> mean tiles touched
 
 _INDEXES: dict[str, TwoLayerGrid] = {}
 
 
-def _index(storage: str) -> TwoLayerGrid:
-    if storage not in _INDEXES:
-        _INDEXES[storage] = TwoLayerGrid.build(
-            tiger_dataset(_DATASET),
-            partitions_per_dim=BEST_GRANULARITY,
-            storage=storage,
+def _index(tier: str) -> TwoLayerGrid:
+    # One index per tier: each caches its tile row bounds in the form
+    # the tier that first queried it reads fastest.
+    if tier not in _INDEXES:
+        _INDEXES[tier] = TwoLayerGrid.build(
+            tiger_dataset(_DATASET), partitions_per_dim=BEST_GRANULARITY
         )
-    return _INDEXES[storage]
+    return _INDEXES[tier]
+
+
+@contextlib.contextmanager
+def _tier(tier: str):
+    """Run the NumPy body even where numba is installed (bench only)."""
+    have = kernels._HAVE_NUMBA
+    kernels._HAVE_NUMBA = have and tier == "compiled"
+    try:
+        yield
+    finally:
+        kernels._HAVE_NUMBA = have
 
 
 def _label(area: float) -> str:
@@ -65,94 +74,89 @@ def _label(area: float) -> str:
 
 
 @pytest.mark.parametrize("area", _AREAS)
-@pytest.mark.parametrize("storage", _STORAGES)
-def test_kernels_window_latency(benchmark, storage, area):
-    index = _index(storage)
+@pytest.mark.parametrize("tier", _TIERS)
+def test_kernels_window_latency(benchmark, tier, area):
+    index = _index(tier)
     queries = window_workload(_DATASET, area)
 
     def run():
         for w in queries:
             index.window_query(w)
 
-    benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=0)
-    timed = throughput(index.window_query, queries, repeats=3)
-    _LATENCY[(storage, _label(area))] = 1e6 / timed.qps
-    if storage == "packed":
-        stats = QueryStats()
-        for w in queries:
-            index.window_query(w, stats)
-        _TILES[_label(area)] = stats.partitions_visited / len(queries)
+    with _tier(tier):
+        benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=0)
+        for verb, fn in (
+            ("window", index.window_query),
+            ("count", index.count_window),
+        ):
+            timed = throughput(fn, queries, repeats=3)
+            _LATENCY[(tier, verb, _label(area))] = 1e6 / timed.qps
+        if tier == "packed":
+            stats = QueryStats()
+            for w in queries:
+                index.window_query(w, stats)
+            _TILES[_label(area)] = stats.partitions_visited / len(queries)
 
 
 def test_kernels_report(benchmark):
     """Assemble the latency-vs-tiles table and register the record."""
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    have_compiled = "compiled" in _STORAGES
+    have_compiled = "compiled" in _TIERS
     rows = []
     for area in _AREAS:
         label = _label(area)
-        packed = _LATENCY[("packed", label)]
-        legacy = _LATENCY[("legacy", label)]
-        row = [label, _TILES[label], packed, legacy, legacy / packed]
+        packed = _LATENCY[("packed", "window", label)]
+        row = [label, _TILES[label], packed, _LATENCY[("packed", "count", label)]]
         if have_compiled:
-            compiled = _LATENCY[("compiled", label)]
-            row += [compiled, packed / compiled]
+            compiled = _LATENCY[("compiled", "window", label)]
+            row += [
+                compiled,
+                _LATENCY[("compiled", "count", label)],
+                packed / compiled,
+            ]
         rows.append(row)
-    headers = ["area", "tiles", "packed µs", "legacy µs", "speedup"]
+    headers = ["area", "tiles", "window µs", "count µs"]
     if have_compiled:
-        headers += ["compiled µs", "c-speedup"]
+        headers += ["compiled window µs", "compiled count µs", "c-speedup"]
     report(
         lambda: print_table(
-            "Fused kernels — per-query latency [µs] vs tiles touched "
+            "Slab executor — per-query latency [µs] vs tiles touched "
             f"(2-layer, {_DATASET}, window area sweep)",
             headers,
             rows,
         )
     )
-    # One series per backend: the who-wins ordering inside each series
-    # (bigger windows are slower) is scale-stable, so the regression
-    # gate never trips on smoke-scale CI runs.  The compiled series
-    # exists only where numba does — keeps numba-free baselines
+    # One series per (tier, verb): the who-wins ordering inside each
+    # series (bigger windows are slower) is scale-stable, so the
+    # regression gate never trips on smoke-scale CI runs.  The compiled
+    # series exist only where numba does — keeps numba-free baselines
     # comparable to numba-free runs.
-    series = {
-        "packed_latency_us": {
-            _label(a): _LATENCY[("packed", _label(a))] for a in _AREAS
-        },
-        "legacy_latency_us": {
-            _label(a): _LATENCY[("legacy", _label(a))] for a in _AREAS
-        },
-        "tiles_touched": dict(_TILES),
-    }
-    if have_compiled:
-        series["compiled_latency_us"] = {
-            _label(a): _LATENCY[("compiled", _label(a))] for a in _AREAS
-        }
+    series = {"tiles_touched": dict(_TILES)}
+    for tier in _TIERS:
+        for verb, key in (("window", "latency_us"), ("count", "count_latency_us")):
+            series[f"{tier}_{key}"] = {
+                _label(a): _LATENCY[(tier, verb, _label(a))] for a in _AREAS
+            }
     emit_bench_record(
         "kernels",
         {
             "dataset": _DATASET,
             "granularity": BEST_GRANULARITY,
             "window_area_pct": list(_AREAS),
-            "storages": list(_STORAGES),
+            "tiers": list(_TIERS),
         },
         series,
     )
     # Shape assertion at full scale only: tiny smoke datasets leave too
-    # little per-tile work for the fused kernels to amortise reliably.
+    # little per-slab work for the jitted body to amortise reliably.
     scale = float(os.environ.get("REPRO_BENCH_SCALE") or 1.0)
-    if scale >= 0.01:
-        for area in _AREAS:
-            label = _label(area)
-            assert _LATENCY[("packed", label)] < _LATENCY[("legacy", label)], (
-                f"packed must beat legacy at {label}"
-            )
-        if have_compiled:
-            mean_speedup = sum(
-                _LATENCY[("packed", _label(a))]
-                / _LATENCY[("compiled", _label(a))]
-                for a in _AREAS
-            ) / len(_AREAS)
-            assert mean_speedup >= _MIN_COMPILED_SPEEDUP, (
-                f"compiled tier {mean_speedup:.1f}x over packed, "
-                f"gate is {_MIN_COMPILED_SPEEDUP:.0f}x"
-            )
+    if scale >= 0.01 and have_compiled:
+        mean_speedup = sum(
+            _LATENCY[("packed", "window", _label(a))]
+            / _LATENCY[("compiled", "window", _label(a))]
+            for a in _AREAS
+        ) / len(_AREAS)
+        assert mean_speedup >= _MIN_COMPILED_SPEEDUP, (
+            f"compiled tier {mean_speedup:.1f}x over vectorized, "
+            f"gate is {_MIN_COMPILED_SPEEDUP:.0f}x"
+        )

@@ -7,7 +7,7 @@ serving stack rely on:
   (``python -m repro.analysis.lint src/``) whose rules encode domain
   contracts: no float equality on coordinates, no blocking calls on the
   event loop, no ``await`` under a ``threading.Lock``, QueryStats
-  threading through every comparing kernel, packed/legacy backend parity
+  threading through every comparing kernel, base/overlay parity
   on the grid APIs, plus generic hygiene (bare ``except``, mutable
   defaults, wall-clock calls, unused imports, public-API annotations).
 

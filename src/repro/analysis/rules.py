@@ -8,7 +8,7 @@ REP001   no float ``==``/``!=`` against float literals in geometry code
 REP002   no blocking calls / heavy numpy builds inside ``async def``
 REP003   no ``await`` or blocking I/O while holding a ``threading.Lock``
 REP004   comparing kernels must thread ``QueryStats`` (EXPLAIN parity)
-REP005   grid query/update methods must serve both storage backends
+REP005   grid query/update methods must reach both the base and the overlay
 REP006   no module-level mutable state in ``repro.shard`` worker code
 REP007   no raw index-file opens without the format-version check
 REP101   no bare ``except:``
@@ -336,14 +336,14 @@ class StatsThreadingRule(LintRule):
 
 
 class BackendParityRule(LintRule):
-    """A public query/update method on a dual-backend grid class reaches
-    only one of the packed base (``_store``) / tile-dict overlay
-    (``_tiles``) — under the other storage mode it silently misses rows.
-    Every public read path must consult both; ``delete``/``compact``
-    must maintain both."""
+    """A public query/update method on a grid class reaches only one of
+    the packed base (``_store``) / delta overlay (``_tiles``) — the rows
+    living in the other half are silently missed (inserts since the last
+    ``compact()``, or everything bulk-loaded).  Every public read path
+    must consult both; ``delete``/``compact`` must maintain both."""
 
     code = "REP005"
-    name = "packed-legacy-parity"
+    name = "base-overlay-parity"
     scope = ("core", "grid")
 
     @staticmethod
@@ -373,7 +373,7 @@ class BackendParityRule(LintRule):
                 if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
             }
             facts = {name: self._method_facts(fn) for name, fn in methods.items()}
-            # dual-backend classes are the ones that own both layouts
+            # only classes that own both a base and an overlay
             if not any(f[0] for f in facts.values()) or not any(
                 f[1] for f in facts.values()
             ):
@@ -398,9 +398,9 @@ class BackendParityRule(LintRule):
                     continue
                 store, tiles = reach(name, frozenset())
                 if not store and not tiles:
-                    continue  # backend-independent helper
+                    continue  # storage-independent helper
                 if name == "insert":
-                    # inserts land in the delta overlay on both backends
+                    # inserts only ever land in the delta overlay
                     missing = None if tiles else "_tiles"
                 elif store and tiles:
                     missing = None
@@ -412,9 +412,9 @@ class BackendParityRule(LintRule):
                         mod,
                         fn,
                         f"{cls.name}.{name} reaches {present} but never "
-                        f"{missing}; the "
-                        f"{'legacy' if missing == '_tiles' else 'packed'} "
-                        "backend would be ignored",
+                        f"{missing}; rows in the "
+                        f"{'delta overlay' if missing == '_tiles' else 'packed base'} "
+                        "would be ignored",
                     )
 
 

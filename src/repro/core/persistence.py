@@ -22,9 +22,9 @@ or tombstones) would either persist rows twice or silently drop the
 updates; ``if_dirty`` controls the contract — auto-``compact()`` (the
 default) or a structured :class:`~repro.errors.IndexStateError`.
 
-Every loaded column is ``writeable=False`` regardless of format or
-backend: a loaded index is a pinned snapshot, and updates go through
-the delta overlay / tombstone machinery, never in-place.
+Every loaded column is ``writeable=False`` regardless of format: a
+loaded index is a pinned snapshot, and updates go through the delta
+overlay / tombstone machinery, never in-place.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from repro.errors import DatasetError, IndexStateError
 from repro.geometry.mbr import Rect
 from repro.grid.base import GridPartitioner
 from repro.grid.one_layer import OneLayerGrid
-from repro.grid.storage import PackedStore, TileTable, group_rows
+from repro.grid.storage import PackedStore, TileTable
 from repro.core import format as container
 from repro.core.two_layer import TwoLayerGrid
 from repro.core.two_layer_plus import TwoLayerPlusGrid
@@ -77,9 +77,10 @@ def _n_classes(index: "TwoLayerGrid | OneLayerGrid") -> int:
 def _check_clean(index: "TwoLayerGrid | OneLayerGrid", if_dirty: str) -> None:
     """Enforce the un-compacted-state contract before any save.
 
-    Packed indexes accumulate inserts in a delta overlay and deletes as
-    tombstones; both must be folded before the base is persisted.  The
-    legacy backend has no base/overlay split, so it is never dirty.
+    Indexes accumulate inserts in a delta overlay and deletes as
+    tombstones; both must be folded before the base is persisted.  An
+    index with no base yet (grown by ``insert()`` alone) has nothing to
+    fold twice, so it is never dirty.
     """
     if if_dirty not in IF_DIRTY_MODES:
         raise ValueError(
@@ -198,10 +199,9 @@ def _packed_view(
 ) -> "tuple[PackedStore, np.ndarray]":
     """``(store, fast_q)`` of the index, building a CSR view if needed.
 
-    A clean packed index contributes its own base and (cached or fresh)
-    query matrix.  A legacy-backend index is flattened into a temporary
-    packed twin — archives are layout-agnostic, so a legacy index still
-    writes the columnar format any packed process can map.
+    A clean index contributes its own base and (cached or fresh) query
+    matrix.  One grown by ``insert()`` alone (all overlay, no base) is
+    flattened into a temporary packed twin without being mutated.
     """
     if index._store is not None and not index._tiles:
         q = index._fast_q
@@ -222,7 +222,7 @@ def _packed_view(
         flat["ids"],
     )
     twin_cls = TwoLayerGrid if isinstance(index, TwoLayerGrid) else OneLayerGrid
-    twin = twin_cls(index.grid, storage="packed")
+    twin = twin_cls(index.grid)
     twin._store = store
     twin._n_objects = index._n_objects
     return store, twin._build_fast_q()
@@ -233,8 +233,6 @@ def _save_columnar(
 ) -> None:
     kind = _check_kind(index)
     _check_clean(index, if_dirty)
-    if index._store is None and index._packed:
-        index.compact()  # materialise the (possibly empty) CSR base
     store, fast_q = _packed_view(index)
     sections: dict[str, np.ndarray] = {
         "offsets": store.offsets,
@@ -360,33 +358,8 @@ def _freeze_store(store: PackedStore) -> None:
     _freeze(store.offsets, store.xl, store.yl, store.xu, store.yu, store.ids)
 
 
-def _legacy_tables_from_csr(
-    index, views: "dict[str, np.ndarray]", n_classes: int
-) -> None:
-    """Materialise legacy per-tile tables from mapped CSR sections."""
-    offsets = views["offsets"]
-    for key in np.flatnonzero(np.diff(offsets)):
-        s = int(offsets[key])
-        e = int(offsets[key + 1])
-        cols = tuple(
-            views[name][s:e].copy() for name in ("xl", "yl", "xu", "yu", "ids")
-        )
-        _freeze(*cols)
-        table = TileTable(*cols)
-        if n_classes == 4:
-            tile_id, code = divmod(int(key), 4)
-            tables = index._tiles.get(tile_id)
-            if tables is None:
-                tables = [None, None, None, None]
-                index._tiles[tile_id] = tables
-            tables[code] = table
-        else:
-            index._tiles[int(key)] = table
-
-
 def _load_columnar(
     path: "str | os.PathLike[str]",
-    storage: "str | None",
     timings: "dict | None",
     with_data: bool,
 ) -> "tuple[TwoLayerGrid | OneLayerGrid, RectDataset | None]":
@@ -400,7 +373,7 @@ def _load_columnar(
     if cls is None:
         raise DatasetError(f"{path}: unknown index kind {kind!r}")
     grid = GridPartitioner.from_meta(meta)
-    index = cls(grid, storage=storage)
+    index = cls(grid)
     index._n_objects = int(meta["n_objects"])
     n_classes = _n_classes(index)
     if int(meta["n_classes"]) != n_classes:
@@ -408,49 +381,41 @@ def _load_columnar(
             f"{path}: archive has {meta['n_classes']} classes per tile "
             f"but {kind} expects {n_classes}"
         )
-    if index._packed:
-        # Pure adoption: the container persisted the CSR offsets and the
-        # fused query matrix, so nothing below reads a single slab byte —
-        # rows page in on first query.
-        index._store = PackedStore.adopt(
-            n_classes,
-            views["offsets"],
-            views["xl"],
-            views["yl"],
-            views["xu"],
-            views["yu"],
-            views["ids"],
-        )
-        index._fast_q = views["fast_q"]
-        # _tile_row_bounds stays None; the fast kernels derive it lazily.
-        index._mmap_manifest = {
-            "kind": "file",
-            "path": os.path.abspath(os.fspath(path)),
-            "arrays": {
-                name: {
-                    "offset": spec.offset,
-                    "dtype": spec.dtype.str,
-                    "shape": list(spec.shape),
-                }
-                for name, spec in specs.items()
-            },
-        }
-        if isinstance(index, TwoLayerPlusGrid):
-            index._g_xl = views["g_xl"]
-            index._g_yl = views["g_yl"]
-            index._g_xu = views["g_xu"]
-            index._g_yu = views["g_yu"]
-            if all(name in views for name in _ORDER_SECTIONS):
-                index._persisted_orders = tuple(
-                    views[name] for name in _ORDER_SECTIONS
-                )
-    else:
-        _legacy_tables_from_csr(index, views, n_classes)
-        if isinstance(index, TwoLayerPlusGrid):
-            index._g_xl = views["g_xl"].copy()
-            index._g_yl = views["g_yl"].copy()
-            index._g_xu = views["g_xu"].copy()
-            index._g_yu = views["g_yu"].copy()
+    # Pure adoption: the container persisted the CSR offsets and the
+    # fused query matrix, so nothing below reads a single slab byte —
+    # rows page in on first query.
+    index._store = PackedStore.adopt(
+        n_classes,
+        views["offsets"],
+        views["xl"],
+        views["yl"],
+        views["xu"],
+        views["yu"],
+        views["ids"],
+    )
+    index._fast_q = views["fast_q"]
+    # _tile_row_bounds stays None; the fast kernels derive it lazily.
+    index._mmap_manifest = {
+        "kind": "file",
+        "path": os.path.abspath(os.fspath(path)),
+        "arrays": {
+            name: {
+                "offset": spec.offset,
+                "dtype": spec.dtype.str,
+                "shape": list(spec.shape),
+            }
+            for name, spec in specs.items()
+        },
+    }
+    if isinstance(index, TwoLayerPlusGrid):
+        index._g_xl = views["g_xl"]
+        index._g_yl = views["g_yl"]
+        index._g_xu = views["g_xu"]
+        index._g_yu = views["g_yu"]
+        if all(name in views for name in _ORDER_SECTIONS):
+            index._persisted_orders = tuple(
+                views[name] for name in _ORDER_SECTIONS
+            )
 
     data: "RectDataset | None" = None
     if with_data and "data_xl" in views:
@@ -470,7 +435,6 @@ def _load_columnar(
 
 def _load_npz(
     path: "str | os.PathLike[str]",
-    storage: "str | None",
     timings: "dict | None",
 ) -> "TwoLayerGrid | OneLayerGrid":
     t0 = time.perf_counter()
@@ -505,64 +469,33 @@ def _load_npz(
     t1 = time.perf_counter()
 
     grid = GridPartitioner(nx, ny, domain)
-    index = cls(grid, storage=storage)
+    index = cls(grid)
     index._n_objects = n_objects
-
-    if issubclass(cls, TwoLayerGrid):
-        keys = tile_ids * 4 + codes
-        if index._packed:
-            # Pre-sorted archives (written from a packed index with an
-            # empty delta) are adopted zero-copy by from_rows.
-            index._store = PackedStore.from_rows(
-                4 * nx * ny, 4, keys, xl, yl, xu, yu,
-                ids.astype(np.int64, copy=False),
-            )
-            _freeze_store(index._store)
-        else:
-            for key, rows in group_rows(keys):
-                tile_id, code = divmod(int(key), 4)
-                tables = index._tiles.get(tile_id)
-                if tables is None:
-                    tables = [None, None, None, None]
-                    index._tiles[tile_id] = tables
-                cols = (
-                    xl[rows].copy(), yl[rows].copy(), xu[rows].copy(),
-                    yu[rows].copy(), ids[rows].copy(),
-                )
-                _freeze(*cols)
-                tables[code] = TileTable(*cols)
-        if isinstance(index, TwoLayerPlusGrid):
-            # Restore the global MBR columns from the class-A replicas
-            # (each object has exactly one); decomposed tables rebuild
-            # lazily per partition on first use.
-            g_xl = np.empty(n_objects)
-            g_yl = np.empty(n_objects)
-            g_xu = np.empty(n_objects)
-            g_yu = np.empty(n_objects)
-            a_rows = codes == 0
-            g_xl[ids[a_rows]] = xl[a_rows]
-            g_yl[ids[a_rows]] = yl[a_rows]
-            g_xu[ids[a_rows]] = xu[a_rows]
-            g_yu[ids[a_rows]] = yu[a_rows]
-            index._g_xl = g_xl
-            index._g_yl = g_yl
-            index._g_xu = g_xu
-            index._g_yu = g_yu
-    else:
-        if index._packed:
-            index._store = PackedStore.from_rows(
-                nx * ny, 1, tile_ids, xl, yl, xu, yu,
-                ids.astype(np.int64, copy=False),
-            )
-            _freeze_store(index._store)
-        else:
-            for tile_id, rows in group_rows(tile_ids):
-                cols = (
-                    xl[rows].copy(), yl[rows].copy(), xu[rows].copy(),
-                    yu[rows].copy(), ids[rows].copy(),
-                )
-                _freeze(*cols)
-                index._tiles[int(tile_id)] = TileTable(*cols)
+    n_classes = _n_classes(index)
+    # Pre-sorted archives (written from an index with an empty delta)
+    # are adopted zero-copy by from_rows.
+    index._store = PackedStore.from_rows(
+        n_classes * nx * ny, n_classes, tile_ids * n_classes + codes,
+        xl, yl, xu, yu, ids.astype(np.int64, copy=False),
+    )
+    _freeze_store(index._store)
+    if isinstance(index, TwoLayerPlusGrid):
+        # Restore the global MBR columns from the class-A replicas
+        # (each object has exactly one); decomposed tables rebuild
+        # lazily per partition on first use.
+        g_xl = np.empty(n_objects)
+        g_yl = np.empty(n_objects)
+        g_xu = np.empty(n_objects)
+        g_yu = np.empty(n_objects)
+        a_rows = codes == 0
+        g_xl[ids[a_rows]] = xl[a_rows]
+        g_yl[ids[a_rows]] = yl[a_rows]
+        g_xu[ids[a_rows]] = xu[a_rows]
+        g_yu[ids[a_rows]] = yu[a_rows]
+        index._g_xl = g_xl
+        index._g_yl = g_yl
+        index._g_xu = g_xu
+        index._g_yu = g_yu
     if timings is not None:
         timings["read_ms"] = timings.get("read_ms", 0.0) + (t1 - t0) * 1e3
         timings["build_ms"] = (
@@ -573,17 +506,13 @@ def _load_npz(
 
 def load_index(
     path: "str | os.PathLike[str]",
-    storage: "str | None" = None,
     timings: "dict | None" = None,
 ) -> "TwoLayerGrid | OneLayerGrid":
     """Restore an index previously written by :func:`save_index`.
 
     The on-disk format is sniffed from the file itself: the columnar
     container maps in place (milliseconds, lazily paged), the legacy npz
-    archive decompresses and rebuilds.  ``storage`` picks the backend of
-    the restored index (``"packed"`` / ``"legacy"`` / ``"compiled"``;
-    ``None`` uses the process default) — archives are layout-agnostic,
-    so either backend restores from any archive.
+    archive decompresses and rebuilds its packed base.
 
     ``timings``, when given, receives the boot-time split: ``read_ms``
     (container map / npz decompression) and ``build_ms`` (index
@@ -591,9 +520,9 @@ def load_index(
     total a multi-file boot.
     """
     if container.is_columnar(path):
-        index, _data = _load_columnar(path, storage, timings, with_data=False)
+        index, _data = _load_columnar(path, timings, with_data=False)
         return index
-    return _load_npz(path, storage, timings)
+    return _load_npz(path, timings)
 
 
 def load_collection(
@@ -606,7 +535,7 @@ def load_collection(
     adds onto its ``read_ms``.
     """
     if container.is_columnar(path):
-        index, data = _load_columnar(path, None, timings, with_data=True)
+        index, data = _load_columnar(path, timings, with_data=True)
         if data is None:
             raise DatasetError(
                 f"{path}: archive has no dataset columns (written by "
@@ -618,7 +547,7 @@ def load_collection(
                 f"covers {len(index)} objects"
             )
         return index, data
-    index = _load_npz(path, None, timings)
+    index = _load_npz(path, timings)
     t0 = time.perf_counter()
     with np.load(path, allow_pickle=False) as archive:
         try:

@@ -12,35 +12,38 @@ tile per dimension also intersects the disk, report fully-covered tiles
 without distance tests, and resolve the residual boundary-arc duplicates
 of classes B/D with a constant-time canonical-tile test.
 
-Storage backends
-----------------
+Storage
+-------
 
-Two physical layouts sit behind one logical index (``storage=`` or the
-``REPRO_PACKED`` environment variable picks one; see
-:mod:`repro.grid.storage`):
+One physical layout sits behind the index (see :mod:`repro.grid.storage`):
 
-* **packed** (default) — the bulk-loaded base lives in one CSR
+* the bulk-loaded **base** lives in one CSR
   :class:`~repro.grid.storage.PackedStore` keyed by fused
-  ``(tile, class)``; queries run *fused kernels* that decompose the tile
-  range into plan-uniform regions (:func:`~repro.core.selection
-  .window_regions`) and evaluate each region's class with a single
-  offsets walk + one vectorised comparison over the stitched rows — no
-  Python-per-tile loop.  Inserts land in a per-tile *delta overlay* of
-  :class:`~repro.grid.storage.TileTable` (O(1), Table VI); deletes
-  tombstone base rows in place; :meth:`compact` folds both back into a
-  fresh base.  Compaction is always explicit — queries never trigger it,
-  so published snapshots can share the base by reference.
-* **legacy** — everything in the per-tile dict of ``TileTable`` lists,
-  scanned tile by tile.  Kept as the parity baseline the property tests
-  compare against.
+  ``(tile, class)``.  Per grid row of a query's tile range the tiles are
+  one contiguous row slab, so a window query (or count) is one
+  comparison pass per slab against a per-row query matrix whose
+  ``±inf`` columns encode the class-scanning rule of Lemmas 1-2
+  (:meth:`TwoLayerGrid._build_fast_q`) — run by the single slab
+  executor :func:`repro.grid.kernels.window_slabs`, no Python-per-tile
+  loop.  Deletes tombstone base rows in place; the executor masks them.
+* inserts land in a per-tile **delta overlay** of
+  :class:`~repro.grid.storage.TileTable` (O(1), Table VI); overlay tiles
+  inside a query's range add their rows through a per-tile class scan.
+  :meth:`compact` folds overlay and tombstones back into a fresh base.
+  Compaction is always explicit — queries never trigger it, so
+  published snapshots can share the base by reference.
 
-Both backends produce identical result sets and identical
-QueryStats/EXPLAIN accounting.
+QueryStats/EXPLAIN accounting is *derived from the plan*
+(:meth:`TwoLayerGrid._account_window`: group sizes per plan-uniform
+region, no row is read), so the ids a query returns never depend on
+whether ``stats`` was passed.  An index grown by :meth:`insert` alone
+has no base at all (``_store is None``) and answers through the
+per-tile scans only — the reference the parity tests compare against.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -59,13 +62,7 @@ from repro.grid.base import (
     replicate,
 )
 from repro.grid import kernels as _kernels
-from repro.grid.storage import (
-    PackedStore,
-    TileTable,
-    group_rows,
-    ranges_to_rows,
-    resolve_storage_mode,
-)
+from repro.grid.storage import PackedStore, TileTable
 from repro.core.selection import ClassPlan, TilePlan, plan_tile, window_regions
 from repro.obs.tracing import active as tracing_active, span as trace_span
 from repro.stats import QueryStats
@@ -109,34 +106,28 @@ class TwoLayerGrid:
     #: never generated.  EXPLAIN uses this to pick its accounting mode.
     dedup_strategy = "avoid"
 
-    def __init__(self, grid: GridPartitioner, storage: "str | None" = None):
+    #: CSR row range ``[lo, hi)`` the slab scan is confined to; banded
+    #: subclasses (:mod:`repro.shard`) set it to the rows they own.
+    _row_clamp: "tuple[int, int] | None" = None
+
+    def __init__(self, grid: GridPartitioner):
         self.grid = grid
-        self._packed = resolve_storage_mode(storage)
-        #: compiled (numba) kernel tier for the stats-free hot routes;
-        #: False whenever numba is missing (silent vectorised fallback).
-        self._use_compiled = self._packed and _kernels.resolve_kernel_mode(storage)
-        #: the immutable CSR base (packed backend; None until bulk load).
+        #: the immutable CSR base (None until bulk load or compact).
         self._store: "PackedStore | None" = None
-        #: tile id -> [table or None] indexed by class code.  The whole
-        #: index under the legacy backend; the mutable delta overlay on
-        #: top of the packed base otherwise.
+        #: the mutable delta overlay on top of the base: tile id ->
+        #: [table or None] indexed by class code.
         self._tiles: dict[int, list["TileTable | None"]] = {}
         self._n_objects = 0
-        #: lazy per-row query matrix + per-tile row extents for the
-        #: single-comparison window kernel (packed backend only; rebuilt
-        #: on :meth:`compact`, shared by reference across snapshot forks).
+        #: lazy per-row query matrix + per-tile row extents for the slab
+        #: executor (rebuilt after :meth:`compact`, shared by reference
+        #: across snapshot forks).
         self._fast_q: "np.ndarray | None" = None
-        self._tile_row_bounds: "np.ndarray | None" = None
-
-    @property
-    def storage(self) -> str:
-        """The physical backend: ``"packed"`` or ``"legacy"``."""
-        return "packed" if self._packed else "legacy"
+        self._tile_row_bounds: "Sequence[int] | None" = None
 
     @property
     def kernel_mode(self) -> str:
-        """``"compiled"`` (numba tier active) or ``"vectorized"``."""
-        return "compiled" if self._use_compiled else "vectorized"
+        """``"compiled"`` (numba installed) or ``"vectorized"``."""
+        return _kernels.kernel_mode()
 
     # -- construction ----------------------------------------------------
 
@@ -146,7 +137,6 @@ class TwoLayerGrid:
         data: RectDataset,
         partitions_per_dim: int = 128,
         domain: "Rect | None" = None,
-        storage: "str | None" = None,
     ) -> "TwoLayerGrid":
         """Bulk-load from a dataset (square N x N grid, like the paper)."""
         grid = GridPartitioner(
@@ -154,7 +144,7 @@ class TwoLayerGrid:
             partitions_per_dim,
             domain if domain is not None else Rect(0.0, 0.0, 1.0, 1.0),
         )
-        index = cls(grid, storage=storage)
+        index = cls(grid)
         index._bulk_load(data)
         return index
 
@@ -162,41 +152,24 @@ class TwoLayerGrid:
         rep = replicate(data, self.grid)
         # Fuse tile id and class code into one sort key; group once.
         keys = rep.tile_ids * 4 + rep.class_codes
-        if self._packed:
-            obj = rep.obj_ids
-            self._store = PackedStore.from_rows(
-                4 * self.grid.nx * self.grid.ny,
-                4,
-                keys,
-                data.xl[obj],
-                data.yl[obj],
-                data.xu[obj],
-                data.yu[obj],
-                obj.astype(np.int64, copy=False),
-            )
-        else:
-            for key, rows in group_rows(keys):
-                tile_id, code = divmod(key, 4)
-                obj = rep.obj_ids[rows]
-                tables = self._tiles.get(tile_id)
-                if tables is None:
-                    tables = [None, None, None, None]
-                    self._tiles[tile_id] = tables
-                tables[code] = TileTable(
-                    data.xl[obj].copy(),
-                    data.yl[obj].copy(),
-                    data.xu[obj].copy(),
-                    data.yu[obj].copy(),
-                    obj.copy(),
-                )
+        obj = rep.obj_ids
+        self._store = PackedStore.from_rows(
+            4 * self.grid.nx * self.grid.ny,
+            4,
+            keys,
+            data.xl[obj],
+            data.yl[obj],
+            data.xu[obj],
+            data.yu[obj],
+            obj.astype(np.int64, copy=False),
+        )
         self._n_objects = len(data)
 
     def insert(self, rect: Rect, obj_id: "int | None" = None) -> int:
         """Insert one object; its class is determined per overlapped tile.
 
-        O(1) per replica under both backends: the packed base is never
-        rebuilt — new entries go to the delta overlay until
-        :meth:`compact`.
+        O(1) per replica: the packed base is never rebuilt — new entries
+        go to the delta overlay until :meth:`compact`.
         """
         if obj_id is None:
             obj_id = self._n_objects
@@ -259,12 +232,9 @@ class TwoLayerGrid:
 
         Explicitly invoked only — queries and updates never compact, so a
         published snapshot's base is safe to share across threads.  Until
-        compaction, query cost degrades gracefully: delta tiles are
-        scanned tile-by-tile exactly like the legacy backend.  No-op for
-        the legacy backend (its tables fold lazily on read).
+        compaction, query cost degrades gracefully: overlay tiles add
+        one per-tile class scan each on top of the base slab scan.
         """
-        if not self._packed:
-            return
         parts_keys: list[np.ndarray] = []
         parts_cols: list[tuple[np.ndarray, ...]] = []
         if self._store is not None:
@@ -396,7 +366,7 @@ class TwoLayerGrid:
         by reference; subclasses override so forks keep their type (and
         any extra state such as a shard band).
         """
-        return type(self)(self.grid, storage=self.storage)
+        return type(self)(self.grid)
 
     def _delta_tiles_in_range(
         self, ix0: int, ix1: int, iy0: int, iy1: int
@@ -496,8 +466,8 @@ class TwoLayerGrid:
     def tile_class_table(self, ix: int, iy: int, code: int) -> "TileTable | None":
         """Raw secondary-partition storage (testing / inspection only).
 
-        Under the packed backend the returned table is a merged
-        *read-only view* of base + delta; mutate the index through
+        With a packed base the returned table is a merged *read-only
+        view* of base + delta; mutate the index through
         :meth:`insert`/:meth:`delete`, never through this table.
         """
         if not (0 <= ix < self.grid.nx and 0 <= iy < self.grid.ny):
@@ -554,131 +524,168 @@ class TwoLayerGrid:
         """
         if self._n_objects == 0:
             return _EMPTY_IDS
-        if (
-            stats is None
-            and self._store is not None
-            and not self._tiles
-            and not self._store.n_dead
-            and tracing_active() is None
-        ):
-            # Hot route: tracing disabled, no accounting requested, and
-            # every live row sits in the immutable base — go straight to
-            # the single-comparison kernel with the tile range inlined
-            # (the span/context plumbing alone costs as much as the
-            # kernel at typical selectivities).
-            g = self.grid
-            d = g.domain
-            ix0 = int((window.xl - d.xl) / g.tile_w)
-            ix1 = int((window.xu - d.xl) / g.tile_w)
-            iy0 = int((window.yl - d.yl) / g.tile_h)
-            iy1 = int((window.yu - d.yl) / g.tile_h)
-            last = g.nx - 1
-            ix0 = 0 if ix0 < 0 else (last if ix0 > last else ix0)
-            ix1 = 0 if ix1 < 0 else (last if ix1 > last else ix1)
-            last = g.ny - 1
-            iy0 = 0 if iy0 < 0 else (last if iy0 > last else iy0)
-            iy1 = 0 if iy1 < 0 else (last if iy1 > last else iy1)
-            out = self._fused_window_fast(window, ix0, ix1, iy0, iy1)
-            self._on_window_result(window, out)
-            return out
-        with trace_span("query.window"):
-            with trace_span("filter.lookup"):
-                ix0, ix1, iy0, iy1 = self.grid.tile_range_for_window(window)
-            pieces: list[np.ndarray] = []
-            with trace_span("filter.scan"):
-                if self._store is not None:
-                    self._fused_window(window, ix0, ix1, iy0, iy1, pieces, stats)
-                else:
-                    tiles = self._tiles
-                    for iy in range(iy0, iy1 + 1):
-                        base = iy * self.grid.nx
-                        for ix in range(ix0, ix1 + 1):
-                            if base + ix not in tiles:
-                                continue
-                            plan = plan_tile(ix, iy, ix0, ix1, iy0, iy1)
-                            self._scan_tile_window(
-                                base + ix, window, plan, pieces, stats
-                            )
-            with trace_span("dedup"):
-                pass  # duplicate-free by construction (Lemmas 1-2)
-            out = np.concatenate(pieces) if pieces else _EMPTY_IDS
+        if stats is None and tracing_active() is None:
+            # Hot route: the span/context plumbing alone costs as much
+            # as the scan at typical selectivities.
+            out = self._window_ids(
+                window, *self.grid.tile_range_for_window(window)
+            )
+        else:
+            with trace_span("query.window"):
+                with trace_span("filter.lookup"):
+                    ix0, ix1, iy0, iy1 = self.grid.tile_range_for_window(window)
+                with trace_span("filter.scan"):
+                    out = self._window_scan(window, ix0, ix1, iy0, iy1, stats)
+                with trace_span("dedup"):
+                    pass  # duplicate-free by construction (Lemmas 1-2)
         self._on_window_result(window, out)
         return out
 
-    def _fused_window(
+    def _window_scan(
         self,
         window: Rect,
         ix0: int,
         ix1: int,
         iy0: int,
         iy1: int,
-        pieces: list[np.ndarray],
-        stats: "QueryStats | None" = None,
+        stats: "QueryStats | None",
+    ) -> np.ndarray:
+        """The traced / accounted route's scan (2-layer⁺ overrides it).
+
+        Same ids as the hot route; the accounting is a separate pass
+        over the plan, so requesting ``stats`` cannot change a result.
+        """
+        out = self._window_ids(window, ix0, ix1, iy0, iy1)
+        if stats is not None:
+            self._account_window(ix0, ix1, iy0, iy1, stats)
+        return out
+
+    def _window_ids(
+        self,
+        window: Rect,
+        ix0: int,
+        ix1: int,
+        iy0: int,
+        iy1: int,
+        count: bool = False,
+    ) -> "np.ndarray | int":
+        """Ids (or, with ``count``, the number) of one window's results.
+
+        Base rows — tombstoned or not — always come from the slab
+        executor: one comparison of the :meth:`_build_fast_q` matrix
+        against ``[w.xl, -w.xu, w.yl, -w.yu, -ix0, -iy0]`` per grid-row
+        slab does the intersection test and the class selection at once.
+        Full four-way comparisons are applied to every scanned row; the
+        ones §IV-B proves redundant are tautologies there, so the result
+        set is identical (:meth:`_account_window` keeps the exact
+        per-class comparison accounting).  Overlay tiles in range add
+        their rows through the per-tile class scan.
+        """
+        store = self._store
+        base: "np.ndarray | int" = 0 if count else _EMPTY_IDS
+        if store is not None:
+            q = self._fast_q
+            if q is None:
+                q = self._build_fast_q()
+            tb = self._tile_row_bounds
+            if tb is None:
+                # A memmap-loaded index ships its query matrix but
+                # derives the row extents lazily (keeps load from paging
+                # the offsets slab in before the first query).
+                tb = self._tile_row_bounds = _kernels.tile_row_bounds(
+                    store.offsets, 4
+                )
+            base = _kernels.window_slabs(
+                q,
+                store.ids,
+                tb,
+                self.grid.nx,
+                ix0,
+                ix1,
+                iy0,
+                iy1,
+                np.array(
+                    [window.xl, -window.xu, window.yl, -window.yu,
+                     float(-ix0), float(-iy0)]
+                ),
+                store.dead if store.n_dead else None,
+                self._row_clamp,
+                count,
+            )
+        if not self._tiles:
+            return base
+        nx = self.grid.nx
+        pieces: list[np.ndarray] = []
+        for tile_id in self._delta_tiles_in_range(ix0, ix1, iy0, iy1):
+            plan = plan_tile(tile_id % nx, tile_id // nx, ix0, ix1, iy0, iy1)
+            tables = self._tiles[tile_id]
+            for cp in plan.classes:
+                table = tables[cp.code]
+                if table is None or len(table) == 0:
+                    continue
+                xl, yl, xu, yu, ids = table.columns()
+                mask = _window_class_mask(cp, window, xl, yl, xu, yu)
+                pieces.append(ids if mask is None else ids[mask])
+        if count:
+            return base + sum(p.shape[0] for p in pieces)
+        if not pieces:
+            return base
+        return np.concatenate([base, *pieces])
+
+    def _account_window(
+        self, ix0: int, ix1: int, iy0: int, iy1: int, stats: QueryStats
     ) -> None:
-        """Packed-backend window kernel: one pass per (region, class).
+        """Derive a window query's accounting from its plan alone.
 
         The tile range decomposes into at most 9 plan-uniform regions;
-        within a region each scanned class is one offsets walk over the
-        CSR base plus one vectorised comparison over the stitched rows —
-        the Python cost is O(regions · classes), not O(tiles).  Overlay
-        tiles fall back to the per-tile scan.
+        per region the live size of every scanned ``(tile, class)``
+        group — ``offsets`` minus ``dead_per_group`` plus the overlay
+        table lengths — gives partitions, rows, §IV-B comparisons and
+        the per-class / per-tile visits exactly as a per-tile scan
+        threading ``stats`` counts them.  No row is read.
         """
-        if stats is None and not self._tiles and not self._store.n_dead:
-            pieces.append(self._fused_window_fast(window, ix0, ix1, iy0, iy1))
-            return
         store = self._store
-        nx = self.grid.nx
         delta = self._delta_tiles_in_range(ix0, ix1, iy0, iy1)
-        delta_arr = np.asarray(delta, dtype=np.int64) if delta else None
         for ax, bx, ay, by, plan in window_regions(ix0, ix1, iy0, iy1):
             tids = self._region_tids(ax, bx, ay, by)
-            if delta_arr is not None:
-                tids = tids[~np.isin(tids, delta_arr)]
-            if tids.shape[0] == 0:
+            n = tids.shape[0]
+            if n == 0:
                 continue
-            if stats is not None:
+            # Overlay tiles of this region: their positions in ``tids``
+            # (ascending, row-major) and per-class table lengths.
+            at: list[int] = []
+            lens: list[list[int]] = []
+            if delta:
+                for tile_id, i in zip(delta, np.searchsorted(tids, delta).tolist()):
+                    if i < n and tids[i] == tile_id:
+                        at.append(i)
+                        lens.append(
+                            [0 if t is None else len(t) for t in self._tiles[tile_id]]
+                        )
+            extra = np.asarray(lens, dtype=np.int64).reshape(-1, 4)
+            if store is None:
+                tile_tot = np.zeros(n, dtype=np.int64)
+            else:
                 tile_tot = self._tile_live_counts(tids)
-                stats.partitions_visited += int(np.count_nonzero(tile_tot))
-                region_scanned = np.zeros(tids.shape[0], dtype=np.int64)
+            tile_tot[at] += extra.sum(axis=1)
+            stats.partitions_visited += int(np.count_nonzero(tile_tot))
+            scanned = np.zeros(n, dtype=np.int64)
             for cp in plan.classes:
-                keys = tids * 4 + cp.code
-                starts = store.offsets[keys]
-                ends = store.offsets[keys + 1]
-                counts = ends - starts
-                if store.n_dead:
-                    counts = counts - store.dead_per_group[keys]
+                if store is None:
+                    counts = np.zeros(n, dtype=np.int64)
+                else:
+                    counts = store.live_counts_for(tids * 4 + cp.code)
+                counts[at] += extra[:, cp.code]
                 total = int(counts.sum())
                 if total == 0:
                     continue
-                if stats is not None:
-                    stats.rects_scanned += total
-                    stats.comparisons += cp.n_comparisons * total
-                    region_scanned += counts
-                    name = CLASS_NAMES[cp.code]
-                    for _ in range(int(np.count_nonzero(counts))):
-                        stats.visit_class(name)
-                rows = ranges_to_rows(starts, ends)
-                if store.n_dead:
-                    rows = rows[~store.dead[rows]]
-                mask = None
-                if cp.xu_ge:
-                    mask = store.xu[rows] >= window.xl
-                if cp.xl_le:
-                    m = store.xl[rows] <= window.xu
-                    mask = m if mask is None else mask & m
-                if cp.yu_ge:
-                    m = store.yu[rows] >= window.yl
-                    mask = m if mask is None else mask & m
-                if cp.yl_le:
-                    m = store.yl[rows] <= window.yu
-                    mask = m if mask is None else mask & m
-                ids = store.ids[rows]
-                pieces.append(ids if mask is None else ids[mask])
-            if stats is not None:
-                stats.visit_tiles(tids, region_scanned, tile_tot)
-        for tile_id in delta:
-            plan = plan_tile(tile_id % nx, tile_id // nx, ix0, ix1, iy0, iy1)
-            self._scan_tile_window(tile_id, window, plan, pieces, stats)
+                stats.rects_scanned += total
+                stats.comparisons += cp.n_comparisons * total
+                scanned += counts
+                name = CLASS_NAMES[cp.code]
+                for _ in range(int(np.count_nonzero(counts))):
+                    stats.visit_class(name)
+            stats.visit_tiles(tids, scanned, tile_tot)
 
     def _build_fast_q(self) -> np.ndarray:
         """Materialise the per-row query matrix for the fast kernel.
@@ -711,85 +718,7 @@ class TwoLayerGrid:
         q[4] = np.where(keys & 2, -(tiles % nx), np.inf)
         q[5] = np.where(keys & 1, -(tiles // nx), np.inf)
         self._fast_q = q
-        # offsets[4t] per tile (plus the terminal bound): tile t's rows —
-        # all four class groups — are the contiguous run
-        # [bounds[t], bounds[t+1]).  Kept as a Python list: the kernel
-        # reads two scalars per slab, and list indexing returns plain
-        # ints at half the cost of NumPy scalar extraction.
-        self._tile_row_bounds = store.offsets[::4].tolist()
         return q
-
-    # Intentionally stats-free: window_query only routes here when the
-    # caller passed stats=None (the REP004 waiver below is the visible
-    # contract; the stats-carrying twin is _fused_window).
-    def _fused_window_fast(  # repro-lint: disable=REP004
-        self,
-        window: Rect,
-        ix0: int,
-        ix1: int,
-        iy0: int,
-        iy1: int,
-    ) -> np.ndarray:
-        """Minimal-overhead window kernel (no stats/delta/tombstones).
-
-        Per grid row the tiles ``ix0..ix1`` occupy one contiguous CSR
-        slab (tile ids are consecutive, groups are tile-major), so the
-        whole query is one broadcast ``>=`` against the precomputed
-        :meth:`_build_fast_q` matrix per slab — class selection and the
-        intersection test in a single comparison.  Full four-way
-        comparisons are applied to every scanned row; the ones §IV-B
-        proves redundant are tautologies there, so the result set is
-        identical (the stats-carrying kernel keeps the exact per-class
-        comparison accounting).
-        """
-        q = self._fast_q
-        if q is None:
-            q = self._build_fast_q()
-        if self._use_compiled:
-            return _kernels.window_scan(
-                q,
-                self._store.ids,
-                self._store.offsets,
-                4,
-                self.grid.nx,
-                ix0,
-                iy0,
-                iy1,
-                ix1 - ix0 + 1,
-                np.array(
-                    [window.xl, -window.xu, window.yl, -window.yu,
-                     float(-ix0), float(-iy0)]
-                ),
-            )
-        tb = self._tile_row_bounds
-        if tb is None:
-            # A memmap-loaded index ships its query matrix but derives
-            # the scalar row extents lazily (keeps load from paging the
-            # offsets slab in before the first query).
-            tb = self._tile_row_bounds = self._store.offsets[::4].tolist()
-        ids = self._store.ids
-        ge = np.greater_equal
-        band = np.logical_and.reduce
-        bounds = np.array(
-            [window.xl, -window.xu, window.yl, -window.yu,
-             float(-ix0), float(-iy0)]
-        ).reshape(6, 1)
-        lo = iy0 * self.grid.nx + ix0
-        width = ix1 - ix0 + 1
-        pieces: list[np.ndarray] = []
-        for _ in range(iy0, iy1 + 1):
-            s0 = tb[lo]
-            s1 = tb[lo + width]
-            lo += self.grid.nx
-            if s0 == s1:
-                continue
-            keep = band(ge(q[:, s0:s1], bounds), axis=0)
-            pieces.append(ids[s0:s1][keep])
-        if not pieces:
-            return _EMPTY_IDS
-        if len(pieces) == 1:
-            return pieces[0]
-        return np.concatenate(pieces)
 
     def _scan_tile_window(
         self,
@@ -801,17 +730,12 @@ class TwoLayerGrid:
     ) -> None:
         """Scan one tile's relevant secondary partitions for one window.
 
-        Appends the qualifying id arrays to ``pieces``.  Shared by the
-        per-tile paths (legacy backend, overlay tiles) and the
-        tiles-based batch evaluator (:mod:`repro.core.batch`), whose
-        subtasks are exactly calls of this method.
+        Appends the qualifying id arrays to ``pieces`` (base group and
+        overlay table of each class merged).  The tiles-based batch
+        evaluator's subtasks (:mod:`repro.core.batch`) are exactly calls
+        of this method.
         """
-        if self._store is None:
-            if tile_id not in self._tiles:
-                return
-            if stats is not None:
-                stats.partitions_visited += 1
-        elif stats is not None:
+        if stats is not None:
             if not self._tile_has_rows(tile_id):
                 return
             stats.partitions_visited += 1
@@ -843,10 +767,10 @@ class TwoLayerGrid:
         Each item is ``(tile_plan, class_plan, columns, mask, ids)`` where
         ``mask`` is the boolean qualification mask over the chunk
         (``None`` means *all* rectangles qualify — the covered case).
-        Under the packed backend a chunk is a whole (region, class) of the
-        fused kernel; under the legacy backend one (tile, class).  The
-        refinement machinery consumes the full tuples; plain filtering
-        only uses ``mask``/``ids``.
+        Over the packed base a chunk is a whole (region, class) of the
+        fused kernel; in overlay tiles (and with no base at all) one
+        (tile, class).  The refinement machinery consumes the full
+        tuples; plain filtering only uses ``mask``/``ids``.
         """
         if self._n_objects == 0:
             return
@@ -979,7 +903,7 @@ class TwoLayerGrid:
         pieces: list[np.ndarray],
         stats: "QueryStats | None" = None,
     ) -> None:
-        """Packed-backend "within" kernel: class A per plan-uniform region."""
+        """Fused "within" kernel: class A per plan-uniform region."""
         store = self._store
         nx = self.grid.nx
         delta = self._delta_tiles_in_range(ix0, ix1, iy0, iy1)
@@ -1057,38 +981,9 @@ class TwoLayerGrid:
 
     def count_window(self, window: Rect) -> int:
         """Number of results of a window query (no id materialisation)."""
-        if (
-            self._use_compiled
-            and self._store is not None
-            and not self._tiles
-            and not self._store.n_dead
-            and tracing_active() is None
-            and self._n_objects
-        ):
-            ix0, ix1, iy0, iy1 = self.grid.tile_range_for_window(window)
-            q = self._fast_q
-            if q is None:
-                q = self._build_fast_q()
-            return int(
-                _kernels.window_count(
-                    q,
-                    self._store.offsets,
-                    4,
-                    self.grid.nx,
-                    ix0,
-                    iy0,
-                    iy1,
-                    ix1 - ix0 + 1,
-                    np.array(
-                        [window.xl, -window.xu, window.yl, -window.yu,
-                         float(-ix0), float(-iy0)]
-                    ),
-                )
-            )
-        total = 0
-        for _plan, _cp, _cols, mask, ids in self._window_chunks(window):
-            total += ids.shape[0] if mask is None else int(np.count_nonzero(mask))
-        return total
+        return self._window_ids(
+            window, *self.grid.tile_range_for_window(window), count=True
+        )
 
     # -- disk queries -------------------------------------------------------------
 
@@ -1109,15 +1004,17 @@ class TwoLayerGrid:
             return _EMPTY_IDS
         if (
             stats is None
-            and self._use_compiled
+            and _kernels.compiled_available()
             and self._store is not None
             and not self._tiles
             and not self._store.n_dead
+            and self._row_clamp is None
             and tracing_active() is None
         ):
             # Compiled §IV-E scan: planning (disk spans), class skipping,
             # covered-tile shortcut, distance tests and the canonical
-            # B/D dedup all run in one jitted pass over the CSR slabs.
+            # B/D dedup all run in one jitted pass over the CSR slabs
+            # (the whole base: a banded index keeps the clamped plan).
             g = self.grid
             ix0, ix1, iy0, iy1 = g.tile_range_for_window(query.mbr())
             store = self._store
@@ -1132,6 +1029,8 @@ class TwoLayerGrid:
                 g.ny,
                 g.domain.xl,
                 g.domain.yl,
+                g.domain.xu,
+                g.domain.yu,
                 g.tile_w,
                 g.tile_h,
                 ix0,
@@ -1221,7 +1120,7 @@ class TwoLayerGrid:
         pieces: list[np.ndarray],
         stats: "QueryStats | None" = None,
     ) -> None:
-        """Packed-backend disk kernel: jobs batched by (class, coverage).
+        """Fused disk kernel: jobs batched by (class, coverage).
 
         All tiles scanning the same class with the same coverage status
         are gathered and distance-tested in one vectorised pass; the

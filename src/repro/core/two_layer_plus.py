@@ -39,7 +39,6 @@ from repro.core.decomposed import (
 from repro.core.selection import plan_tile
 from repro.core.two_layer import TwoLayerGrid
 from repro.grid.base import CLASS_NAMES, GridPartitioner
-from repro.obs.tracing import active as tracing_active, span as trace_span
 from repro.stats import QueryStats
 
 __all__ = ["TwoLayerPlusGrid"]
@@ -73,9 +72,8 @@ class TwoLayerPlusGrid(TwoLayerGrid):
         self,
         grid: GridPartitioner,
         multi_comparison_strategy: str = "auto",
-        storage: "str | None" = None,
     ):
-        super().__init__(grid, storage=storage)
+        super().__init__(grid)
         if multi_comparison_strategy not in MULTI_COMPARISON_STRATEGIES:
             raise ValueError(
                 f"unknown strategy {multi_comparison_strategy!r}; "
@@ -109,7 +107,6 @@ class TwoLayerPlusGrid(TwoLayerGrid):
         partitions_per_dim: int = 128,
         domain: "Rect | None" = None,
         multi_comparison_strategy: str = "auto",
-        storage: "str | None" = None,
     ) -> "TwoLayerPlusGrid":
         """Bulk-load from a dataset (square N x N grid, like the paper)."""
         from repro.grid.base import GridPartitioner
@@ -119,11 +116,7 @@ class TwoLayerPlusGrid(TwoLayerGrid):
             partitions_per_dim,
             domain if domain is not None else Rect(0.0, 0.0, 1.0, 1.0),
         )
-        index = cls(
-            grid,
-            multi_comparison_strategy=multi_comparison_strategy,
-            storage=storage,
-        )
+        index = cls(grid, multi_comparison_strategy=multi_comparison_strategy)
         index._bulk_load(data)
         return index
 
@@ -133,19 +126,10 @@ class TwoLayerPlusGrid(TwoLayerGrid):
         self._g_yl = data.yl.copy()
         self._g_xu = data.xu.copy()
         self._g_yu = data.yu.copy()
-        if self._store is not None:
-            for key in np.flatnonzero(self._store.group_counts()):
-                tile_id, code = divmod(int(key), 4)
-                cols = self._store.group_columns(int(key))
-                self._decomposed[(tile_id, code)] = DecomposedTables(*cols, code)
-        else:
-            for tile_id, tables in self._tiles.items():
-                for code, table in enumerate(tables):
-                    if table is not None:
-                        xl, yl, xu, yu, ids = table.columns()
-                        self._decomposed[(tile_id, code)] = DecomposedTables(
-                            xl, yl, xu, yu, ids, code
-                        )
+        for key in np.flatnonzero(self._store.group_counts()):
+            tile_id, code = divmod(int(key), 4)
+            cols = self._store.group_columns(int(key))
+            self._decomposed[(tile_id, code)] = DecomposedTables(*cols, code)
 
     def insert(self, rect: Rect, obj_id: "int | None" = None) -> int:
         obj_id = super().insert(rect, obj_id)
@@ -256,50 +240,26 @@ class TwoLayerPlusGrid(TwoLayerGrid):
 
     # -- window queries ----------------------------------------------------
 
-    def window_query(
-        self, window: Rect, stats: "QueryStats | None" = None
+    def _window_scan(
+        self,
+        window: Rect,
+        ix0: int,
+        ix1: int,
+        iy0: int,
+        iy1: int,
+        stats: "QueryStats | None",
     ) -> np.ndarray:
-        """Window query answered through the decomposed tables."""
-        if self._n_objects == 0:
-            return _EMPTY_IDS
-        # Decomposition only changes *how* residual comparisons are paid
-        # for; when nothing needs stats accounting the inherited packed
-        # query matrix answers the same question in one comparison pass,
-        # which beats a binary search per partition under NumPy dispatch
-        # costs at smoke scale and ties at full scale.
-        if (
-            stats is None
-            and self._store is not None
-            and not self._tiles
-            and not self._store.n_dead
-            and tracing_active() is None
-        ):
-            g = self.grid
-            d = g.domain
-            ix0 = int((window.xl - d.xl) / g.tile_w)
-            ix1 = int((window.xu - d.xl) / g.tile_w)
-            iy0 = int((window.yl - d.yl) / g.tile_h)
-            iy1 = int((window.yu - d.yl) / g.tile_h)
-            last = g.nx - 1
-            ix0 = 0 if ix0 < 0 else (last if ix0 > last else ix0)
-            ix1 = 0 if ix1 < 0 else (last if ix1 > last else ix1)
-            last = g.ny - 1
-            iy0 = 0 if iy0 < 0 else (last if iy0 > last else iy0)
-            iy1 = 0 if iy1 < 0 else (last if iy1 > last else iy1)
-            return self._fused_window_fast(window, ix0, ix1, iy0, iy1)
-        with trace_span("query.window"):
-            return self._window_query_traced(window, stats)
+        """Accounted / traced window scan through the decomposed tables.
 
-    def _window_query_traced(
-        self, window: Rect, stats: "QueryStats | None"
-    ) -> np.ndarray:
-        with trace_span("filter.lookup"):
-            ix0, ix1, iy0, iy1 = self.grid.tile_range_for_window(window)
+        Decomposition only changes *how* residual comparisons are paid
+        for, so :meth:`window_query` is inherited whole: with no stats
+        and no tracer the packed query matrix answers in one comparison
+        pass per slab, which beats a binary search per partition under
+        NumPy dispatch costs at smoke scale and ties at full scale; this
+        hook is what runs otherwise, with §IV-C's own accounting.
+        """
         pieces: list[np.ndarray] = []
-        with trace_span("filter.scan"):
-            self._scan_window_tiles(window, ix0, ix1, iy0, iy1, pieces, stats)
-        with trace_span("dedup"):
-            pass  # duplicate-free by construction (Lemmas 1-2)
+        self._scan_window_tiles(window, ix0, ix1, iy0, iy1, pieces, stats)
         if not pieces:
             return _EMPTY_IDS
         return np.concatenate(pieces)

@@ -134,13 +134,21 @@ class GridPartitioner:
 
         This is the algebraic tile lookup of Section IV; the range is
         clamped to the grid, so windows may extend beyond the domain.
+        Every window query starts here, so the four :meth:`tile_ix` /
+        :meth:`tile_iy` lookups are inlined (one call, no ``min``/``max``).
         """
-        return (
-            self.tile_ix(window.xl),
-            self.tile_ix(window.xu),
-            self.tile_iy(window.yl),
-            self.tile_iy(window.yu),
-        )
+        d = self.domain
+        ix0 = int((window.xl - d.xl) / self.tile_w)
+        ix1 = int((window.xu - d.xl) / self.tile_w)
+        iy0 = int((window.yl - d.yl) / self.tile_h)
+        iy1 = int((window.yu - d.yl) / self.tile_h)
+        last = self.nx - 1
+        ix0 = 0 if ix0 < 0 else (last if ix0 > last else ix0)
+        ix1 = 0 if ix1 < 0 else (last if ix1 > last else ix1)
+        last = self.ny - 1
+        iy0 = 0 if iy0 < 0 else (last if iy0 > last else iy0)
+        iy1 = 0 if iy1 < 0 else (last if iy1 > last else iy1)
+        return ix0, ix1, iy0, iy1
 
     # -- vectorised tile arithmetic ------------------------------------------
 

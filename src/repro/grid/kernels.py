@@ -1,54 +1,44 @@
-"""Optional compiled (Numba) kernel tier over the packed CSR layout.
+"""The window-scan executor over the packed CSR layout, in two tiers.
 
-The vectorised fast kernels (:meth:`TwoLayerGrid._fused_window_fast`
-and friends) already evaluate a window as one broadcast comparison per
-grid-row slab, but NumPy still materialises a boolean mask, pays one
-dispatch per condition row, and walks every slab twice.  With the
-columns flat and condition-major, the same scan is a textbook candidate
-for a compiled loop: one pass over the slab, six (or eight) scalar
-compares per row, direct append into the output — no temporaries.
+Every window query and window count of every grid family reduces to the
+same loop: per grid row of the query's tile range, the tiles
+``ix0..ix1`` occupy one contiguous CSR slab (tile ids are consecutive,
+groups are tile-major), and a row qualifies iff its column of the
+index's per-row query matrix is ``>=`` the query's bounds vector in
+every condition.  The matrix folds the intersection test *and* the
+class-scanning / reference-point rule into those conditions (``+inf``
+entries pass vacuously), so the loop needs no per-class branching.
+:func:`window_slabs` is the one definition of that loop; the indexes
+only build the matrix and the bounds.
 
-This module holds that tier.  Everything degrades gracefully:
+Two bodies run it, chosen by whether numba is importable (the
+``compiled`` extra) and by nothing else:
 
-* **numba absent** — the ``@njit`` wrappers are never created,
-  :func:`compiled_available` is ``False``, and every index silently
-  stays on the vectorised kernels (tier-1 CI runs exactly this way).
-* **numba present** — opt in per index with ``storage="compiled"`` (the
-  existing storage knob; implies the packed backend) or process-wide
-  with ``REPRO_KERNEL=compiled``, which upgrades every packed index so
-  the whole test suite exercises the compiled tier for parity.
+* **vectorized** — one broadcast ``>=`` plus an AND-reduce per slab.
+* **compiled** — the same scan jitted: one pass over the slab, scalar
+  compares per row, direct append into the output, no temporaries.
+  :func:`disk_scan` (the §IV-E disk scan in one jitted pass) lives in
+  this tier only.
 
-Parity is enforced twice: the ``REPRO_SANITIZE=1`` sampled oracle
-cross-checks live query results, and the packed-vs-legacy property
-tests run under ``REPRO_KERNEL=compiled`` in the ``kernels-compiled``
-CI job.
-
-Kernels cover the stats-free hot routes — window scan, window count and
-the §IV-E disk scan — for the 2-layer / 2-layer⁺ grids (the latter
-inherits all three) plus the 1-layer window scan (refpoint and hash
-dedup).  Stats-carrying queries, delta overlays and tombstones keep the
-vectorised paths: they are not the hot loop, and the accounting belongs
-in one place.
+Parity between the tiers is enforced twice: the ``REPRO_SANITIZE=1``
+sampled oracle cross-checks live query results, and the whole test
+suite runs with numba installed in the ``kernels-compiled`` CI job; the
+pure-python bodies are also unit-tested directly, numba-free.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
 __all__ = [
-    "KERNEL_MODES",
     "compiled_available",
-    "compiled_kernel_default",
     "disk_scan",
-    "resolve_kernel_mode",
-    "window_count",
-    "window_scan",
+    "kernel_mode",
+    "tile_row_bounds",
+    "window_slabs",
 ]
-
-KERNEL_MODES = ("vectorized", "compiled")
 
 try:  # pragma: no cover - exercised only where numba is installed
     from numba import njit as _njit
@@ -58,108 +48,155 @@ except ImportError:  # the container image is numba-free by default
     _njit = None
     _HAVE_NUMBA = False
 
+_EMPTY_IDS = np.empty(0, dtype=np.int64)
+_NO_DEAD = np.zeros(0, dtype=bool)
+
 
 def compiled_available() -> bool:
     """Whether the numba-compiled kernel tier can actually run."""
     return _HAVE_NUMBA
 
 
-def compiled_kernel_default() -> bool:
-    """Process-wide kernel-tier request: ``REPRO_KERNEL=compiled``."""
-    return os.environ.get("REPRO_KERNEL", "") == "compiled"
+def kernel_mode() -> str:
+    """The tier :func:`window_slabs` runs: ``"compiled"`` or ``"vectorized"``."""
+    return "compiled" if _HAVE_NUMBA else "vectorized"
 
 
-def resolve_kernel_mode(storage: "str | None") -> bool:
-    """Effective "use compiled kernels?" for one index.
+def tile_row_bounds(offsets: np.ndarray, stride: int) -> "Sequence[int]":
+    """First CSR row of every tile (plus the terminal bound).
 
-    ``storage="compiled"`` opts in explicitly; any other explicit mode
-    opts out; ``None`` (and plain ``"packed"``) defer to the
-    ``REPRO_KERNEL`` environment default so a whole process — including
-    the parity test suite — can be flipped at once.  Always ``False``
-    when numba is missing: the fallback is silent by design.
+    ``stride`` is the number of CSR groups per tile (4 for the 2-layer
+    family, 1 for 1-layer): tile ``t`` owns rows ``[b[t], b[t+1])``.
+    The vectorized tier gets a Python list — it reads two scalars per
+    slab, and list indexing returns plain ints at half the cost of
+    NumPy scalar extraction; the compiled tier gets a contiguous array.
     """
-    if not _HAVE_NUMBA:
-        return False
-    if storage == "compiled":
-        return True
-    if storage == "legacy":
-        return False
-    return compiled_kernel_default()
+    bounds = offsets[::stride]
+    return np.ascontiguousarray(bounds) if _HAVE_NUMBA else bounds.tolist()
+
+
+# The one slab compare loop.  Accounting for the rows it scans is
+# derived from the plan by the caller (TwoLayerGrid._account_window),
+# never threaded through here — hence the REP004 waiver.
+def window_slabs(  # repro-lint: disable=REP004
+    q: np.ndarray,
+    ids: np.ndarray,
+    tile_bounds: "Sequence[int]",
+    nx: int,
+    ix0: int,
+    ix1: int,
+    iy0: int,
+    iy1: int,
+    bounds: np.ndarray,
+    dead: "np.ndarray | None" = None,
+    clamp: "tuple[int, int] | None" = None,
+    count: bool = False,
+) -> "np.ndarray | int":
+    """Scan the CSR slabs of a tile range against one bounds vector.
+
+    ``q`` is the condition-major per-row query matrix (any number of
+    condition rows), ``tile_bounds`` the :func:`tile_row_bounds` of the
+    same base.  ``dead`` masks tombstoned rows out, ``clamp`` restricts
+    the scan to CSR rows ``[row_lo, row_hi)`` (a shard band), ``count``
+    returns the number of qualifying rows instead of their ids.
+    """
+    row_lo, row_hi = clamp if clamp is not None else (0, ids.shape[0])
+    if _HAVE_NUMBA:  # pragma: no cover - compiled tier needs the extra
+        out = _window_slabs_jit(
+            q, ids, tile_bounds, nx, ix0, ix1, iy0, iy1, bounds,
+            _NO_DEAD if dead is None else dead, row_lo, row_hi, count,
+        )
+        return int(out[0]) if count else out
+    ge = np.greater_equal
+    band = np.logical_and.reduce
+    bounds = bounds.reshape(-1, 1)
+    lo = iy0 * nx + ix0
+    width = ix1 - ix0 + 1
+    total = 0
+    pieces: list[np.ndarray] = []
+    for _ in range(iy0, iy1 + 1):
+        s0 = tile_bounds[lo]
+        s1 = tile_bounds[lo + width]
+        lo += nx
+        if s0 < row_lo:
+            s0 = row_lo
+        if s1 > row_hi:
+            s1 = row_hi
+        if s0 >= s1:
+            continue
+        keep = band(ge(q[:, s0:s1], bounds), axis=0)
+        if dead is not None:
+            keep &= ~dead[s0:s1]
+        if count:
+            total += int(np.count_nonzero(keep))
+        else:
+            pieces.append(ids[s0:s1][keep])
+    if count:
+        return total
+    if not pieces:
+        return _EMPTY_IDS
+    if len(pieces) == 1:
+        return pieces[0]
+    return np.concatenate(pieces)
 
 
 # -- jitted bodies ---------------------------------------------------------
-#
-# Shared by the 2-layer family (stride=4: one CSR group per class, tile
-# extents at offsets[4*t]) and the 1-layer grid (stride=1).  ``bounds``
-# carries however many condition rows the caller's query matrix has
-# (6 for 2-layer, 8/4 for 1-layer refpoint/hash), so one kernel serves
-# every grid.
 
 
-def _window_scan_py(
+def _window_slabs_py(
     q: np.ndarray,
     ids: np.ndarray,
-    offsets: np.ndarray,
-    stride: int,
+    tile_bounds: np.ndarray,
     nx: int,
     ix0: int,
+    ix1: int,
     iy0: int,
     iy1: int,
-    width: int,
     bounds: np.ndarray,
+    dead: np.ndarray,
+    row_lo: int,
+    row_hi: int,
+    count: bool,
 ) -> np.ndarray:
+    # Both reducers return an int64 array so the jitted signature stays
+    # type-stable: the qualifying ids, or the count in a 1-element array.
+    # ``dead`` is empty when nothing is tombstoned.
     nb = bounds.shape[0]
-    total = 0
-    row = iy0 * nx + ix0
-    for _ in range(iy0, iy1 + 1):
-        total += offsets[stride * (row + width)] - offsets[stride * row]
-        row += nx
+    use_dead = dead.shape[0] > 0
+    width = ix1 - ix0 + 1
+    total = 1  # count mode: one slot, for the count itself
+    if not count:
+        total = 0  # ids mode: an upper bound, every row of every slab
+        row = iy0 * nx + ix0
+        for _ in range(iy0, iy1 + 1):
+            s0 = max(tile_bounds[row], row_lo)
+            s1 = min(tile_bounds[row + width], row_hi)
+            if s1 > s0:
+                total += s1 - s0
+            row += nx
     out = np.empty(total, np.int64)
     k = 0
     row = iy0 * nx + ix0
     for _ in range(iy0, iy1 + 1):
-        s0 = offsets[stride * row]
-        s1 = offsets[stride * (row + width)]
+        s0 = max(tile_bounds[row], row_lo)
+        s1 = min(tile_bounds[row + width], row_hi)
         row += nx
         for r in range(s0, s1):
+            if use_dead and dead[r]:
+                continue
             ok = True
             for c in range(nb):
                 if q[c, r] < bounds[c]:
                     ok = False
                     break
             if ok:
-                out[k] = ids[r]
+                if not count:
+                    out[k] = ids[r]
                 k += 1
+    if count:
+        out[0] = k
+        return out
     return out[:k]
-
-
-def _window_count_py(
-    q: np.ndarray,
-    offsets: np.ndarray,
-    stride: int,
-    nx: int,
-    ix0: int,
-    iy0: int,
-    iy1: int,
-    width: int,
-    bounds: np.ndarray,
-) -> int:
-    nb = bounds.shape[0]
-    k = 0
-    row = iy0 * nx + ix0
-    for _ in range(iy0, iy1 + 1):
-        s0 = offsets[stride * row]
-        s1 = offsets[stride * (row + width)]
-        row += nx
-        for r in range(s0, s1):
-            ok = True
-            for c in range(nb):
-                if q[c, r] < bounds[c]:
-                    ok = False
-                    break
-            if ok:
-                k += 1
-    return k
 
 
 def _disk_scan_py(
@@ -173,6 +210,8 @@ def _disk_scan_py(
     ny: int,
     dxl: float,
     dyl: float,
+    dxu: float,
+    dyu: float,
     tw: float,
     th: float,
     ix0: int,
@@ -186,6 +225,8 @@ def _disk_scan_py(
     # §IV-E in one compiled pass: plan (per-row disk spans), class
     # skipping against the previous tile per dimension, covered-tile
     # shortcut, distance test, and the canonical-tile dedup for B/D.
+    # The last tile per axis ends exactly at the domain edge (dxu/dyu),
+    # as in GridPartitioner.tile_rect: ``txl + tw`` can round 1 ulp short.
     nrows = iy1 - iy0 + 1
     span_lo = np.full(nrows, -1, np.int64)
     span_hi = np.full(nrows, -1, np.int64)
@@ -194,14 +235,14 @@ def _disk_scan_py(
         tyl = dyl + iy * th
         dy = tyl - cy
         if dy < 0.0:
-            dy = cy - (tyl + th)
+            dy = cy - (dyu if iy == ny - 1 else tyl + th)
             if dy < 0.0:
                 dy = 0.0
         for ix in range(ix0, ix1 + 1):
             txl = dxl + ix * tw
             dx = txl - cx
             if dx < 0.0:
-                dx = cx - (txl + tw)
+                dx = cx - (dxu if ix == nx - 1 else txl + tw)
                 if dx < 0.0:
                     dx = 0.0
             if dx * dx + dy * dy <= r2:
@@ -232,12 +273,14 @@ def _disk_scan_py(
             prev_y_in = p_lo >= 0 and p_lo <= ix <= p_hi
             txl = dxl + ix * tw
             tyl = dyl + iy * th
+            txu = dxu if ix == nx - 1 else txl + tw
+            tyu = dyu if iy == ny - 1 else tyl + th
             mdx = cx - txl
-            if txl + tw - cx > mdx:
-                mdx = txl + tw - cx
+            if txu - cx > mdx:
+                mdx = txu - cx
             mdy = cy - tyl
-            if tyl + th - cy > mdy:
-                mdy = tyl + th - cy
+            if tyu - cy > mdy:
+                mdy = tyu - cy
             covered = mdx * mdx + mdy * mdy <= r2
             for code in range(4):
                 if code == 1 and prev_y_in:
@@ -298,13 +341,11 @@ def _disk_scan_py(
 
 
 if _HAVE_NUMBA:  # pragma: no cover - compiled tier needs the extra
-    window_scan: Any = _njit(cache=True, nogil=True)(_window_scan_py)
-    window_count: Any = _njit(cache=True, nogil=True)(_window_count_py)
+    _window_slabs_jit: Any = _njit(cache=True, nogil=True)(_window_slabs_py)
     disk_scan: Any = _njit(cache=True, nogil=True)(_disk_scan_py)
 else:
-    # Never called (resolve_kernel_mode gates every call site); bound to
-    # the pure-python bodies so direct unit tests can still exercise the
-    # kernel logic without numba.
-    window_scan = _window_scan_py
-    window_count = _window_count_py
+    # Never called by the indexes (compiled_available() gates the disk
+    # route, window_slabs picks its own body); bound to the pure-python
+    # body so direct unit tests can still exercise the kernel logic
+    # without numba.
     disk_scan = _disk_scan_py

@@ -14,6 +14,8 @@ isolates exactly the contribution of the paper's secondary partitioning.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.analysis import sanitize as _sanitize
@@ -24,12 +26,7 @@ from repro.geometry.mbr import Rect, max_dist_point_rect
 from repro.grid.base import GridPartitioner, replicate
 from repro.grid.dedup import ActiveBorder, reference_point_keep_mask
 from repro.grid import kernels as _kernels
-from repro.grid.storage import (
-    PackedStore,
-    TileTable,
-    group_rows,
-    resolve_storage_mode,
-)
+from repro.grid.storage import PackedStore, TileTable
 from repro.obs.tracing import active as tracing_active, span as trace_span
 from repro.stats import QueryStats
 
@@ -62,7 +59,6 @@ class OneLayerGrid:
         self,
         grid: GridPartitioner,
         dedup: str = "refpoint",
-        storage: "str | None" = None,
     ):
         if dedup not in DEDUP_METHODS:
             raise InvalidGridError(
@@ -70,30 +66,21 @@ class OneLayerGrid:
             )
         self.grid = grid
         self.dedup = dedup
-        self._packed = resolve_storage_mode(storage)
-        self._use_compiled = self._packed and _kernels.resolve_kernel_mode(
-            storage
-        )
-        #: the CSR base (packed backend, one group per tile; None until
-        #: bulk load).
+        #: the CSR base (one group per tile; None until bulk load or
+        #: compact).
         self._store: "PackedStore | None" = None
-        #: the whole index (legacy backend) / delta overlay (packed).
+        #: the delta overlay on top of the base.
         self._tiles: dict[int, TileTable] = {}
         self._n_objects = 0
-        # Lazy per-row query matrix + per-tile row extents (packed base
-        # only); rebuilt after compact().
+        # Lazy per-row query matrix + per-tile row extents for the slab
+        # executor; rebuilt after compact().
         self._fast_q: "np.ndarray | None" = None
-        self._tile_row_bounds: "list[int] | None" = None
-
-    @property
-    def storage(self) -> str:
-        """The physical backend: ``"packed"`` or ``"legacy"``."""
-        return "packed" if self._packed else "legacy"
+        self._tile_row_bounds: "Sequence[int] | None" = None
 
     @property
     def kernel_mode(self) -> str:
-        """The fast-path kernel tier: ``"compiled"`` or ``"vectorized"``."""
-        return "compiled" if self._use_compiled else "vectorized"
+        """``"compiled"`` (numba installed) or ``"vectorized"``."""
+        return _kernels.kernel_mode()
 
     # -- construction ------------------------------------------------------
 
@@ -104,7 +91,6 @@ class OneLayerGrid:
         partitions_per_dim: int = 128,
         domain: "Rect | None" = None,
         dedup: str = "refpoint",
-        storage: "str | None" = None,
     ) -> "OneLayerGrid":
         """Bulk-load the grid from a dataset.
 
@@ -116,34 +102,23 @@ class OneLayerGrid:
             partitions_per_dim,
             domain if domain is not None else Rect(0.0, 0.0, 1.0, 1.0),
         )
-        index = cls(grid, dedup=dedup, storage=storage)
+        index = cls(grid, dedup=dedup)
         index._bulk_load(data)
         return index
 
     def _bulk_load(self, data: RectDataset) -> None:
         rep = replicate(data, self.grid)
-        if self._packed:
-            obj = rep.obj_ids
-            self._store = PackedStore.from_rows(
-                self.grid.nx * self.grid.ny,
-                1,
-                rep.tile_ids,
-                data.xl[obj],
-                data.yl[obj],
-                data.xu[obj],
-                data.yu[obj],
-                obj.astype(np.int64, copy=False),
-            )
-        else:
-            for tile_id, rows in group_rows(rep.tile_ids):
-                obj = rep.obj_ids[rows]
-                self._tiles[tile_id] = TileTable(
-                    data.xl[obj].copy(),
-                    data.yl[obj].copy(),
-                    data.xu[obj].copy(),
-                    data.yu[obj].copy(),
-                    obj.copy(),
-                )
+        obj = rep.obj_ids
+        self._store = PackedStore.from_rows(
+            self.grid.nx * self.grid.ny,
+            1,
+            rep.tile_ids,
+            data.xl[obj],
+            data.yl[obj],
+            data.xu[obj],
+            data.yu[obj],
+            obj.astype(np.int64, copy=False),
+        )
         self._n_objects = len(data)
 
     def insert(self, rect: Rect, obj_id: "int | None" = None) -> int:
@@ -243,11 +218,8 @@ class OneLayerGrid:
     def compact(self) -> None:
         """Fold the delta overlay and tombstones into a fresh packed base.
 
-        Explicit only, mirroring :meth:`TwoLayerGrid.compact`; no-op for
-        the legacy backend.
+        Explicit only, mirroring :meth:`TwoLayerGrid.compact`.
         """
-        if not self._packed:
-            return
         parts_keys: list[np.ndarray] = []
         parts_cols: list[tuple[np.ndarray, ...]] = []
         if self._store is not None:
@@ -336,19 +308,9 @@ class OneLayerGrid:
             and self.dedup != "active_border"
             and tracing_active() is None
         ):
-            g = self.grid
-            d = g.domain
-            ix0 = int((window.xl - d.xl) / g.tile_w)
-            ix1 = int((window.xu - d.xl) / g.tile_w)
-            iy0 = int((window.yl - d.yl) / g.tile_h)
-            iy1 = int((window.yu - d.yl) / g.tile_h)
-            last = g.nx - 1
-            ix0 = 0 if ix0 < 0 else (last if ix0 > last else ix0)
-            ix1 = 0 if ix1 < 0 else (last if ix1 > last else ix1)
-            last = g.ny - 1
-            iy0 = 0 if iy0 < 0 else (last if iy0 > last else iy0)
-            iy1 = 0 if iy1 < 0 else (last if iy1 > last else iy1)
-            out = self._fused_window_fast(window, ix0, ix1, iy0, iy1)
+            out = self._fused_window_fast(
+                window, *self.grid.tile_range_for_window(window)
+            )
             if _sanitize.enabled():
                 _sanitize.on_window_query(self, window, out)
             return out
@@ -415,106 +377,39 @@ class OneLayerGrid:
         q[6] = np.where(own_y, np.inf, -ref_iy)
         q[7] = np.where(own_y, np.inf, -ty)
         self._fast_q = q
-        # One group per tile, so the CSR offsets are the row extents
-        # directly; a Python list hands back plain ints cheaper than
-        # NumPy scalar extraction.
-        self._tile_row_bounds = store.offsets.tolist()
         return q
 
-    # Intentionally stats-free: window_query only routes here when the
-    # caller passed stats=None (the stats-carrying scan keeps §IV-B
-    # comparison accounting), hence the REP004 waiver.
-    def _fused_window_fast(  # repro-lint: disable=REP004
+    def _fused_window_fast(
         self, window: Rect, ix0: int, ix1: int, iy0: int, iy1: int
     ) -> np.ndarray:
-        """Stats-free window kernel: one comparison pass per grid row.
+        """Stats-free window route over a pristine base: the slab executor.
 
-        Each grid row of the query rectangle is one contiguous CSR slab;
-        the precomputed matrix folds intersection and reference-point
-        dedup into a single broadcast ``>=``.  The hash technique skips
-        the dedup columns and squashes duplicates terminally; the
-        stats-carrying scan keeps the paper's exact §IV-B comparison
-        accounting.
+        The precomputed matrix folds intersection and reference-point
+        dedup into the executor's single ``>=`` per slab.  The hash
+        technique skips the dedup columns and squashes duplicates
+        terminally; the stats-carrying scan keeps the paper's exact
+        §IV-B comparison accounting.
         """
         q = self._fast_q
         if q is None:
             q = self._build_fast_q()
-        if self._use_compiled:
-            store = self._store
-            width = ix1 - ix0 + 1
-            if self.dedup == "refpoint":
-                bounds = np.array(
-                    [
-                        window.xl,
-                        -window.xu,
-                        window.yl,
-                        -window.yu,
-                        float(-(ix0 - 1)),
-                        float(-ix0),
-                        float(-(iy0 - 1)),
-                        float(-iy0),
-                    ]
-                )
-            else:  # hash: plain intersection, terminal dedup below
-                q = q[:4]
-                bounds = np.array(
-                    [window.xl, -window.xu, window.yl, -window.yu]
-                )
-            out = _kernels.window_scan(
-                q,
-                store.ids,
-                store.offsets,
-                1,
-                self.grid.nx,
-                ix0,
-                iy0,
-                iy1,
-                width,
-                bounds,
-            )
-            if self.dedup == "hash":
-                return np.unique(out)
-            return out
         tb = self._tile_row_bounds
         if tb is None:
-            # Memmap-loaded indexes defer this materialisation so loading
-            # touches no slab bytes; derive the row extents on first use.
-            tb = self._tile_row_bounds = self._store.offsets.tolist()
-        ids = self._store.ids
-        ge = np.greater_equal
-        band = np.logical_and.reduce
+            # Derived on first use so a memmap load touches no slab bytes.
+            tb = self._tile_row_bounds = _kernels.tile_row_bounds(
+                self._store.offsets, 1
+            )
+        bounds = [window.xl, -window.xu, window.yl, -window.yu]
         if self.dedup == "refpoint":
-            bounds = np.array(
-                [
-                    window.xl,
-                    -window.xu,
-                    window.yl,
-                    -window.yu,
-                    float(-(ix0 - 1)),
-                    float(-ix0),
-                    float(-(iy0 - 1)),
-                    float(-iy0),
-                ]
-            ).reshape(8, 1)
+            bounds += [
+                float(-(ix0 - 1)), float(-ix0), float(-(iy0 - 1)), float(-iy0)
+            ]
         else:  # hash: plain intersection filter, duplicates squashed below
             q = q[:4]
-            bounds = np.array(
-                [window.xl, -window.xu, window.yl, -window.yu]
-            ).reshape(4, 1)
-        lo = iy0 * self.grid.nx + ix0
-        width = ix1 - ix0 + 1
-        pieces: list[np.ndarray] = []
-        for _ in range(iy0, iy1 + 1):
-            s0 = tb[lo]
-            s1 = tb[lo + width]
-            lo += self.grid.nx
-            if s0 == s1:
-                continue
-            keep = band(ge(q[:, s0:s1], bounds), axis=0)
-            pieces.append(ids[s0:s1][keep])
-        if not pieces:
-            return np.empty(0, dtype=np.int64)
-        out = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+        out = _kernels.window_slabs(
+            q, self._store.ids, tb, self.grid.nx, ix0, ix1, iy0, iy1,
+            np.array(bounds),
+        )
         if self.dedup == "hash":
             return np.unique(out)
         return out
@@ -530,9 +425,10 @@ class OneLayerGrid:
     ) -> list[np.ndarray]:
         """Per-tile candidate scan (with in-scan dedup for refpoint/border).
 
-        The packed backend runs the fused region kernel for the refpoint
-        and hash techniques; the active-border sweep is inherently
-        sequential in row-major tile order, so it always scans per tile.
+        A packed base runs the fused region kernel for the refpoint and
+        hash techniques; the active-border sweep is inherently sequential
+        in row-major tile order, so it always scans per tile (as does an
+        index with no base at all).
         """
         if self._store is not None and self.dedup != "active_border":
             return self._fused_window_tiles(window, ix0, ix1, iy0, iy1, stats)
@@ -606,7 +502,7 @@ class OneLayerGrid:
         iy1: int,
         stats: "QueryStats | None",
     ) -> list[np.ndarray]:
-        """Packed-backend window kernel (refpoint / hash dedup).
+        """Fused window kernel (refpoint / hash dedup).
 
         The tile range decomposes into at most 9 regions of uniform
         §IV-B comparison sets; each region is one offsets walk over the
@@ -862,8 +758,8 @@ class OneLayerGrid:
     def tile_table(self, ix: int, iy: int) -> "TileTable | None":
         """The raw tile storage (testing / inspection only).
 
-        Under the packed backend the returned table is a merged read-only
-        view of base + overlay; mutate through :meth:`insert`/:meth:`delete`.
+        With a packed base the returned table is a merged read-only view
+        of base + overlay; mutate through :meth:`insert`/:meth:`delete`.
         """
         if not (0 <= ix < self.grid.nx and 0 <= iy < self.grid.ny):
             raise IndexStateError(f"tile ({ix}, {iy}) outside the grid")

@@ -1,32 +1,29 @@
 """Tile storage shared by the grid indices: CSR base + per-tile deltas.
 
-Two complementary layouts live here:
+One store, two parts:
+
+* :class:`PackedStore` — the packed CSR base: one global struct-of-arrays
+  ``(xl, yl, xu, yu, ids)`` sorted by a fused ``(tile_id, class)`` group
+  key, plus an ``offsets`` array of length ``n_groups + 1`` mapping each
+  group to its contiguous row range.  Bulk loads, ``compact()`` and
+  archive loads all produce one; queries scan whole multi-tile row
+  ranges of it (:func:`repro.grid.kernels.window_slabs`) instead of
+  chasing per-tile dictionaries.  Deletes tombstone rows in place (a
+  parallel ``dead`` bitmap) so removing an object never rebuilds the
+  base.
 
 * :class:`TileTable` — a small dynamic column store of (MBR, id) pairs.
   Updates append to a Python-list tail that is folded into the arrays
   lazily, so inserts stay O(1) (the property Table VI measures) while
   reads always see compacted columns.  The grid indices use it for the
-  mutable *delta overlay* that absorbs inserts on top of a packed base
-  (and, in legacy storage mode, for all tile data).
-
-* :class:`PackedStore` — the packed CSR base: one global struct-of-arrays
-  ``(xl, yl, xu, yu, ids)`` sorted by a fused ``(tile_id, class)`` group
-  key, plus an ``offsets`` array of length ``n_groups + 1`` mapping each
-  group to its contiguous row range.  Queries gather whole multi-tile row
-  ranges with one vectorised offsets walk instead of chasing per-tile
-  dictionaries, which is what the fused query kernels of
-  :mod:`repro.core.two_layer` build on.  Deletes tombstone rows in place
-  (a parallel ``dead`` bitmap) so removing an object never rebuilds the
-  base.
-
-The environment variable ``REPRO_PACKED`` selects the default backend for
-newly built indexes: unset or ``"1"`` → packed CSR base, ``"0"`` → the
-legacy per-tile dictionaries (useful for parity testing).
+  mutable *delta overlay* that absorbs inserts on top of the base until
+  the next ``compact()``; an index grown by ``insert()`` alone is all
+  overlay (``_store is None``), which is what the parity tests use as
+  their per-tile reference.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Iterator
 
 import numpy as np
@@ -38,8 +35,6 @@ __all__ = [
     "PackedStore",
     "group_rows",
     "ranges_to_rows",
-    "packed_storage_default",
-    "resolve_storage_mode",
 ]
 
 _EMPTY_F = np.empty(0, dtype=np.float64)
@@ -47,31 +42,6 @@ _EMPTY_I = np.empty(0, dtype=np.int64)
 
 #: bytes per stored entry (4 float64 coordinates + 1 int64 id).
 _ENTRY_BYTES = 5 * 8
-
-#: ``"compiled"`` is packed CSR storage with the Numba kernel tier on
-#: top (see :mod:`repro.grid.kernels`); it degrades to plain packed
-#: when numba is not importable.
-STORAGE_MODES = ("packed", "legacy", "compiled")
-
-
-def packed_storage_default() -> bool:
-    """Whether new indexes default to the packed CSR backend.
-
-    Controlled by ``REPRO_PACKED``: unset or any value other than ``"0"``
-    means packed; ``"0"`` forces the legacy per-tile dict layout.
-    """
-    return os.environ.get("REPRO_PACKED", "1") != "0"
-
-
-def resolve_storage_mode(storage: "str | None") -> bool:
-    """Map a ``storage=`` argument to "use packed?"; ``None`` asks the env."""
-    if storage is None:
-        return packed_storage_default()
-    if storage not in STORAGE_MODES:
-        raise ValueError(
-            f"unknown storage mode {storage!r}; expected one of {STORAGE_MODES}"
-        )
-    return storage in ("packed", "compiled")
 
 
 class TileTable:

@@ -11,11 +11,11 @@ holding version *v* therefore sees version *v* forever: no torn batches,
 no reader/writer blocking, and memory cost proportional to the touched
 tiles, not the index.
 
-Under the packed storage backend the bulk-loaded base is an immutable
+The bulk-loaded base is an immutable
 :class:`~repro.grid.storage.PackedStore` shared *by reference* across
 every forked version — publishing a new snapshot costs one delta-dict
 copy, never a base copy.  Inserts land in the fork's copy-on-write delta
-overlay exactly like legacy tiles; deletes that hit base rows fork the
+overlay; deletes that hit base rows fork the
 tombstone bitmap (:meth:`~repro.grid.storage.PackedStore
 .with_private_dead`) so the published version's base stays untouched.
 

@@ -15,12 +15,14 @@ invariant intact:
   union of band results over all shards equals the global result with
   no duplicates and no misses — the scatter-gather merge is pure
   concatenation;
-* a band is a contiguous CSR row slab, so the stats-free fast kernel
-  bands by clamping each per-grid-row slab intersection to
-  ``[row_lo, row_hi)`` — still one broadcast comparison per row.
+* a band is a contiguous CSR row slab, so the slab executor bands by
+  clamping each per-grid-row slab to ``[row_lo, row_hi)``
+  (:attr:`~repro.core.two_layer.TwoLayerGrid._row_clamp`) — still one
+  broadcast comparison per row.
 
-The clamp rides on three parent hooks: :meth:`~repro.core.two_layer
-.TwoLayerGrid._region_tids` (fused window/within/chunk kernels),
+The rest of the clamp rides on three parent hooks: :meth:`~repro.core
+.two_layer.TwoLayerGrid._region_tids` (window accounting and the fused
+within/chunk kernels),
 :meth:`~repro.core.two_layer.TwoLayerGrid._tile_has_rows` (per-tile
 paths and the tiles-based batch evaluators) and
 :meth:`~repro.core.two_layer.TwoLayerGrid._fork_shell` (snapshot forks
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.two_layer import _EMPTY_IDS, TwoLayerGrid
+from repro.core.two_layer import TwoLayerGrid
 from repro.datasets.queries import DiskQuery
 from repro.geometry.mbr import Rect
 from repro.grid.base import GridPartitioner
@@ -44,17 +46,13 @@ __all__ = ["BandedTwoLayerGrid"]
 class BandedTwoLayerGrid(TwoLayerGrid):
     """Full-state two-layer grid answering only for an owned tile band."""
 
-    def __init__(
-        self,
-        grid: GridPartitioner,
-        band: ShardBand,
-        storage: "str | None" = None,
-    ):
-        super().__init__(grid, storage=storage)
+    def __init__(self, grid: GridPartitioner, band: ShardBand):
+        super().__init__(grid)
         self.band = band
+        self._row_clamp = (band.row_lo, band.row_hi)
 
     def _fork_shell(self) -> "BandedTwoLayerGrid":
-        return BandedTwoLayerGrid(self.grid, self.band, storage=self.storage)
+        return BandedTwoLayerGrid(self.grid, self.band)
 
     # -- band clamps --------------------------------------------------------
 
@@ -93,54 +91,6 @@ class BandedTwoLayerGrid(TwoLayerGrid):
         band = self.band
         return row_span, [j for j in jobs if band.t_lo <= j[0] < band.t_hi]
 
-    # Stats-free twin of the parent fast kernel with the per-grid-row
-    # slab clamped to the band's row range (same REP004 waiver contract
-    # as the parent: window_query only routes here when stats is None).
-    def _fused_window_fast(  # repro-lint: disable=REP004
-        self,
-        window: Rect,
-        ix0: int,
-        ix1: int,
-        iy0: int,
-        iy1: int,
-    ) -> np.ndarray:
-        q = self._fast_q
-        if q is None:
-            q = self._build_fast_q()
-        tb = self._tile_row_bounds
-        ids = self._store.ids
-        ge = np.greater_equal
-        reduce_and = np.logical_and.reduce
-        bounds = np.array(
-            [window.xl, -window.xu, window.yl, -window.yu,
-             float(-ix0), float(-iy0)]
-        ).reshape(6, 1)
-        nx = self.grid.nx
-        row_lo = self.band.row_lo
-        row_hi = self.band.row_hi
-        lo = iy0 * nx + ix0
-        width = ix1 - ix0 + 1
-        pieces: list[np.ndarray] = []
-        for _ in range(iy0, iy1 + 1):
-            # Owned tiles of this grid row's slab are themselves one
-            # contiguous sub-slab: clamp to the band's row range.
-            s0 = tb[lo]
-            s1 = tb[lo + width]
-            lo += nx
-            if s0 < row_lo:
-                s0 = row_lo
-            if s1 > row_hi:
-                s1 = row_hi
-            if s0 >= s1:
-                continue
-            keep = reduce_and(ge(q[:, s0:s1], bounds), axis=0)
-            pieces.append(ids[s0:s1][keep])
-        if not pieces:
-            return _EMPTY_IDS
-        if len(pieces) == 1:
-            return pieces[0]
-        return np.concatenate(pieces)
-
     def _on_window_result(self, window: Rect, out: np.ndarray) -> None:
         # A band's partial result would falsely fail the global naive
         # reference; the router cross-checks the *merged* result.
@@ -156,7 +106,7 @@ class BandedTwoLayerGrid(TwoLayerGrid):
         sends each knn to one worker, which answers from this view.
         Cheap enough to build per call — six attribute copies.
         """
-        twin = TwoLayerGrid(self.grid, storage=self.storage)
+        twin = TwoLayerGrid(self.grid)
         twin._store = self._store
         twin._tiles = self._tiles
         twin._fast_q = self._fast_q

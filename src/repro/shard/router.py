@@ -74,7 +74,7 @@ from repro.shard.partition import (
     shard_for_tile,
 )
 from repro.shard.shm import file_arena_manifest, publish_arena, unlink_arena
-from repro.shard.wire import decode_frame, encode_frame
+from repro.shard.wire import STREAM_LIMIT, decode_frame, encode_frame
 from repro.shard.worker import run_worker
 
 if False:  # pragma: no cover - typing only
@@ -104,6 +104,9 @@ class _ShardLink:
         self.writer = writer
         self.pid = pid
         self.alive = True
+        #: why the link died (exception text / "connection closed"),
+        #: quoted in every ``degraded`` error it causes.
+        self.death = ""
         self.last_epoch = 0
         self._batches: dict[int, asyncio.Future] = {}
         self._writes: dict[int, asyncio.Future] = {}
@@ -111,11 +114,13 @@ class _ShardLink:
     def _send(self, frame: dict[str, Any], fut: asyncio.Future) -> None:
         try:
             self.writer.write(encode_frame(frame))
-        except Exception:
-            self.mark_dead()
+        except Exception as exc:
+            self.mark_dead(f"send failed: {type(exc).__name__}: {exc}")
         if not self.alive and not fut.done():
             fut.set_exception(
-                ParallelExecutionError(f"shard {self.shard} worker is dead")
+                ParallelExecutionError(
+                    f"shard {self.shard} worker is dead ({self.death})"
+                )
             )
 
     def send_batch(
@@ -159,17 +164,20 @@ class _ShardLink:
                     continue
                 if fut is not None and not fut.done():
                     fut.set_result(frame)
-        except Exception:
-            pass
+        except Exception as exc:
+            self.mark_dead(f"read failed: {type(exc).__name__}: {exc}")
         finally:
-            self.mark_dead()
+            self.mark_dead("connection closed")
 
-    def mark_dead(self) -> None:
+    def mark_dead(self, why: str) -> None:
         """Fail every pending future now — degraded responses, no hangs."""
         if not self.alive:
             return
         self.alive = False
-        exc = ParallelExecutionError(f"shard {self.shard} worker died")
+        self.death = why
+        exc = ParallelExecutionError(
+            f"shard {self.shard} worker died ({why})"
+        )
         for fut in list(self._batches.values()) + list(self._writes.values()):
             if not fut.done():
                 fut.set_exception(exc)
@@ -214,16 +222,7 @@ class ShardedQueryService(SpatialQueryService):
     ):
         if shards < 1:
             raise IndexStateError(f"shards must be >= 1, got {shards}")
-        if index._store is None:
-            # Workers map the packed CSR base from shared memory, so a
-            # legacy-backend index (including one loaded from an old
-            # --index archive) is rebuilt packed at boot.
-            from repro.core.two_layer import TwoLayerGrid as _TLG
-
-            rebuilt = _TLG(index.grid, storage="packed")
-            rebuilt._bulk_load(data)
-            index = rebuilt
-        elif index._tiles or index._store.n_dead:
+        if index._store is None or index._tiles or index._store.n_dead:
             # Workers map the immutable base; fold any overlay first so
             # the arena carries the complete state.
             index.compact()
@@ -369,7 +368,7 @@ class ShardedQueryService(SpatialQueryService):
         loop = asyncio.get_running_loop()
         self._hello_waiters = [loop.create_future() for _ in range(self.shards)]
         self._internal_server = await asyncio.start_server(
-            self._handle_worker, "127.0.0.1", 0
+            self._handle_worker, "127.0.0.1", 0, limit=STREAM_LIMIT
         )
         ihost, iport = self._internal_server.sockets[0].getsockname()[:2]
         self._publish()
@@ -412,6 +411,11 @@ class ShardedQueryService(SpatialQueryService):
     def _live_link(self, shard: int) -> "_ShardLink | None":
         link = self._links[shard]
         return link if link is not None and link.alive else None
+
+    def _death_note(self, shard: int) -> str:
+        """`` (why)`` for a dead shard's error message, if known."""
+        link = self._links[shard]
+        return f" ({link.death})" if link is not None and link.death else ""
 
     def shard_status(self) -> dict[str, Any]:
         """The cross-shard epoch vector + liveness, as served by stats."""
@@ -523,7 +527,9 @@ class ShardedQueryService(SpatialQueryService):
                     if fut in not_done:
                         link = self._links[k]
                         if link is not None:
-                            link.mark_dead()
+                            link.mark_dead(
+                                f"no batch_r within {self.scatter_timeout_s}s"
+                            )
                 await asyncio.gather(*not_done, return_exceptions=True)
         frames: dict[int, "dict[str, Any] | None"] = {}
         for k, fut in futs.items():
@@ -591,7 +597,8 @@ class ShardedQueryService(SpatialQueryService):
                                 req.id,
                                 "degraded",
                                 f"shard(s) {dead} unavailable for "
-                                f"{req.verb}; partial results withheld",
+                                f"{req.verb}{self._death_note(dead[0])}; "
+                                "partial results withheld",
                                 trace=req.trace,
                             ),
                             out,
@@ -658,8 +665,8 @@ class ShardedQueryService(SpatialQueryService):
                 if frame is None:
                     failure = (
                         "degraded",
-                        f"shard {k} worker died mid-query; reissue the "
-                        f"request",
+                        f"shard {k} worker died mid-query"
+                        f"{self._death_note(k)}; reissue the request",
                     )
                     break
                 if frame["epoch"] != epoch:
@@ -889,7 +896,9 @@ class ShardedQueryService(SpatialQueryService):
                 if fut in not_done:
                     link = self._links[k]
                     if link is not None:
-                        link.mark_dead()
+                        link.mark_dead(
+                            f"no write_r within {self.config.write_timeout_s}s"
+                        )
             await asyncio.gather(*not_done, return_exceptions=True)
         for k, fut in futs.items():
             if fut.exception() is not None:
@@ -901,7 +910,10 @@ class ShardedQueryService(SpatialQueryService):
                 self._m_epoch_mismatch.inc()
                 link = self._links[k]
                 if link is not None:
-                    link.mark_dead()
+                    link.mark_dead(
+                        f"write acked {ack.get('version')!r}, expected "
+                        f"{version}"
+                    )
             else:
                 self._m_shard_epoch[k].set(float(version))
 
@@ -933,7 +945,7 @@ class ShardedQueryService(SpatialQueryService):
         for k in range(self.shards):
             link = self._links[k]
             if link is not None:
-                link.mark_dead()
+                link.mark_dead("router shutdown")
         if self._internal_server is not None:
             self._internal_server.close()
             await self._internal_server.wait_closed()

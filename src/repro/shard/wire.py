@@ -34,7 +34,14 @@ from typing import Any
 
 from repro.errors import ProtocolError
 
-__all__ = ["decode_frame", "encode_frame"]
+__all__ = ["STREAM_LIMIT", "decode_frame", "encode_frame"]
+
+#: asyncio stream ``limit`` for both ends of the router<->worker socket.
+#: A frame is one NDJSON line and a ``batch_r`` carries whole result id
+#: lists, so asyncio's 64 KiB default turns any large answer into a
+#: ``readline`` error that kills the link; 1 GiB holds a micro-batch of
+#: full-domain windows over millions of objects.
+STREAM_LIMIT = 1 << 30
 
 
 def encode_frame(frame: dict[str, Any]) -> bytes:

@@ -52,7 +52,7 @@ from repro.server.snapshot import Snapshot, SnapshotStore
 from repro.shard.banded import BandedTwoLayerGrid
 from repro.shard.partition import ShardBand
 from repro.shard.shm import attach_arena
-from repro.shard.wire import decode_frame, encode_frame
+from repro.shard.wire import STREAM_LIMIT, decode_frame, encode_frame
 
 __all__ = ["build_worker_state", "run_worker"]
 
@@ -87,13 +87,10 @@ def build_worker_state(
     if _sanitize.enabled():
         _sanitize.check_packed_store(store, "shard.worker.attach")
     band = ShardBand.from_tuple(manifest["bands"][shard_id])
-    index = BandedTwoLayerGrid(grid, band, storage="packed")
+    index = BandedTwoLayerGrid(grid, band)
     index._store = store
     index._n_objects = int(manifest["n_objects"])
-    fast_q = views.get("fast_q")
-    if fast_q is not None:
-        index._fast_q = fast_q
-        index._tile_row_bounds = store.offsets[::4].tolist()
+    index._fast_q = views.get("fast_q")  # else built on first query
     data = RectDataset(
         views["data_xl"], views["data_yl"], views["data_xu"], views["data_yu"]
     )
@@ -317,7 +314,9 @@ async def _worker_main(
     try:
         index, data = build_worker_state(manifest, views, shard_id)
         loop_state = _WorkerLoop(index, data)
-        reader, writer = await asyncio.open_connection(host, port)
+        reader, writer = await asyncio.open_connection(
+            host, port, limit=STREAM_LIMIT
+        )
         writer.write(
             encode_frame(
                 {

@@ -10,6 +10,8 @@ from repro.datasets import (
     generate_uniform_rects,
     generate_zipf_rects,
 )
+from repro.geometry import Rect
+from repro.grid import GridPartitioner
 
 
 @pytest.fixture(scope="session")
@@ -48,3 +50,24 @@ def tiny_data() -> RectDataset:
 def ids_set(arr) -> set[int]:
     """Result array -> set of ids (helper used across test modules)."""
     return set(int(v) for v in arr)
+
+
+def insert_built(cls, data, partitions_per_dim, domain=None, **kwargs):
+    """The per-tile reference index: grown by ``insert()`` alone.
+
+    Never bulk-loaded and never compacted, so it has no packed base
+    (``_store is None``): every row sits in the per-tile overlay tables
+    and every verb answers through the per-tile scans, sharing no slab /
+    fused kernel with a ``cls.build(...)`` index.  The parity tests
+    compare the two for ids, ``QueryStats`` and EXPLAIN accounting.
+    """
+    grid = GridPartitioner(
+        partitions_per_dim,
+        partitions_per_dim,
+        domain if domain is not None else Rect(0.0, 0.0, 1.0, 1.0),
+    )
+    index = cls(grid, **kwargs)
+    for i in range(len(data)):
+        index.insert(data.rect(i), i)
+    assert index._store is None
+    return index

@@ -9,6 +9,8 @@ hooks from different call sites), and the bounded rings.
 import numpy as np
 import pytest
 
+from conftest import insert_built
+
 from repro.datasets import generate_uniform_rects
 from repro.errors import ObsError
 from repro.geometry.mbr import Rect
@@ -139,7 +141,8 @@ class TestHeatStats:
 
     @pytest.mark.parametrize("cls", [TwoLayerGrid, OneLayerGrid])
     def test_backend_parity(self, cls):
-        """Packed and legacy kernels feed identical heat totals."""
+        """The packed base and the insert-built per-tile reference feed
+        identical heat totals."""
         data = generate_uniform_rects(800, area=1e-5, seed=11)
         windows = [
             Rect(0.1, 0.1, 0.4, 0.4),
@@ -148,7 +151,11 @@ class TestHeatStats:
         ]
         totals = {}
         for storage in ("packed", "legacy"):
-            index = cls.build(data, partitions_per_dim=8, storage=storage)
+            index = (
+                cls.build(data, partitions_per_dim=8)
+                if storage == "packed"
+                else insert_built(cls, data, 8)
+            )
             heat = TileHeatAccumulator(8, 8, half_life_s=0.0)
             stats = HeatStats(heat)
             for w in windows:

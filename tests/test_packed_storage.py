@@ -1,14 +1,15 @@
-"""Parity and regression tests for the packed CSR storage backend.
+"""Parity and regression tests for the packed CSR store.
 
-The packed backend (:class:`repro.grid.storage.PackedStore` + fused
-query kernels) must be *observationally identical* to the legacy
-per-tile-dict backend: same result-id sets for every query kind, same
+The packed base (:class:`repro.grid.storage.PackedStore` + the slab
+executor and fused kernels) must be *observationally identical* to a
+plain per-tile scan: same result-id sets for every query kind, same
 :class:`~repro.stats.QueryStats` counters, same EXPLAIN accounting.
-These tests build every index twice (``storage="packed"`` /
-``storage="legacy"``) over randomized datasets and workloads and assert
-exact equality — including under interleaved inserts and deletes, after
-compaction, across persistence round-trips, and through the serving
-layer's copy-on-write snapshots.
+These tests build every index twice — bulk-loaded (``cls.build``, packed
+base) and grown by ``insert()`` alone (:func:`conftest.insert_built`: no
+base, per-tile scans only; called ``legacy`` below) — over randomized
+datasets and workloads and assert exact equality, including under
+interleaved inserts and deletes, after compaction, across persistence
+round-trips, and through the serving layer's copy-on-write snapshots.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import ids_set
+from conftest import ids_set, insert_built
 
 from repro.core import (
     ConvexPolygonRange,
@@ -30,14 +31,9 @@ from repro.core.persistence import load_index, save_index
 from repro.datasets import DiskQuery, RectDataset, generate_uniform_rects
 from repro.geometry import Rect
 from repro.grid import OneLayerGrid
-from repro.grid.storage import (
-    PackedStore,
-    TileTable,
-    packed_storage_default,
-    ranges_to_rows,
-    resolve_storage_mode,
-)
+from repro.grid.storage import PackedStore, TileTable, ranges_to_rows
 from repro.obs.explain import explain_disk, explain_window
+from repro.obs.live import HeatStats, TileHeatAccumulator
 from repro.server.snapshot import SnapshotStore
 from repro.stats import QueryStats
 
@@ -51,10 +47,10 @@ def data() -> RectDataset:
 
 @pytest.fixture(scope="module")
 def pair(data):
-    """The same dataset under both storage backends."""
+    """The same dataset bulk-loaded and as the insert-built reference."""
     return (
-        TwoLayerGrid.build(data, partitions_per_dim=GRID, storage="packed"),
-        TwoLayerGrid.build(data, partitions_per_dim=GRID, storage="legacy"),
+        TwoLayerGrid.build(data, partitions_per_dim=GRID),
+        insert_built(TwoLayerGrid, data, GRID),
     )
 
 
@@ -71,7 +67,7 @@ def windows(n: int, seed: int, lo: float = 0.02, hi: float = 0.35):
 
 
 def assert_query_parity(run_packed, run_legacy, label=""):
-    """Same ids AND identical QueryStats counters on both backends."""
+    """Same ids AND identical QueryStats counters from both indexes."""
     sp, sl = QueryStats(), QueryStats()
     got_p = run_packed(sp)
     got_l = run_legacy(sl)
@@ -179,17 +175,13 @@ class TestTwoLayerParity:
         assert packed.nonempty_tiles == legacy.nonempty_tiles
         assert packed.class_counts() == legacy.class_counts()
         assert packed._class_a_counts() == legacy._class_a_counts()
-        assert packed.storage == "packed" and legacy.storage == "legacy"
+        assert packed._store is not None and legacy._store is None
 
 
 class TestTwoLayerPlusParity:
     def test_window_query(self, data):
-        packed = TwoLayerPlusGrid.build(
-            data, partitions_per_dim=GRID, storage="packed"
-        )
-        legacy = TwoLayerPlusGrid.build(
-            data, partitions_per_dim=GRID, storage="legacy"
-        )
+        packed = TwoLayerPlusGrid.build(data, partitions_per_dim=GRID)
+        legacy = insert_built(TwoLayerPlusGrid, data, GRID)
         for w in windows(25, seed=31):
             assert_query_parity(
                 lambda s, w=w: packed.window_query(w, s),
@@ -200,12 +192,8 @@ class TestTwoLayerPlusParity:
 class TestOneLayerParity:
     @pytest.mark.parametrize("dedup", ["refpoint", "hash", "active_border"])
     def test_window_query(self, data, dedup):
-        packed = OneLayerGrid.build(
-            data, partitions_per_dim=GRID, dedup=dedup, storage="packed"
-        )
-        legacy = OneLayerGrid.build(
-            data, partitions_per_dim=GRID, dedup=dedup, storage="legacy"
-        )
+        packed = OneLayerGrid.build(data, partitions_per_dim=GRID, dedup=dedup)
+        legacy = insert_built(OneLayerGrid, data, GRID, dedup=dedup)
         for w in windows(25, seed=37):
             assert_query_parity(
                 lambda s, w=w: packed.window_query(w, s),
@@ -214,8 +202,8 @@ class TestOneLayerParity:
             )
 
     def test_disk_query(self, data):
-        packed = OneLayerGrid.build(data, partitions_per_dim=GRID, storage="packed")
-        legacy = OneLayerGrid.build(data, partitions_per_dim=GRID, storage="legacy")
+        packed = OneLayerGrid.build(data, partitions_per_dim=GRID)
+        legacy = insert_built(OneLayerGrid, data, GRID)
         rng = np.random.default_rng(41)
         for _ in range(15):
             q = DiskQuery(
@@ -230,14 +218,15 @@ class TestOneLayerParity:
 
 
 class TestMaintenanceParity:
-    """Interleaved inserts and deletes keep the backends in lockstep."""
+    """Interleaved inserts and deletes keep base+overlay and the
+    reference in lockstep."""
 
     @pytest.mark.parametrize("cls", [TwoLayerGrid, OneLayerGrid])
     def test_interleaved_insert_delete(self, cls):
         rng = np.random.default_rng(43)
         base = generate_uniform_rects(400, area=1e-3, seed=47)
-        packed = cls.build(base, partitions_per_dim=8, storage="packed")
-        legacy = cls.build(base, partitions_per_dim=8, storage="legacy")
+        packed = cls.build(base, partitions_per_dim=8)
+        legacy = insert_built(cls, base, 8)
         live = {i: base.rect(i) for i in range(len(base))}
         next_id = len(base)
         probe = windows(6, seed=53)
@@ -275,6 +264,60 @@ class TestMaintenanceParity:
         assert not legacy.delete(ghost, 10**6)
 
 
+class TestChurnedAccountingParity:
+    """Accounting is derived from the plan, not threaded through a scan:
+    on an index with overlay rows *and* tombstones (some tiles carrying
+    both) it must still equal what the per-tile reference counts."""
+
+    def test_stats_heat_and_explain_match_reference(self):
+        rng = np.random.default_rng(83)
+        base = generate_uniform_rects(600, area=1e-3, seed=89)
+        packed = TwoLayerGrid.build(base, partitions_per_dim=8)
+        legacy = insert_built(TwoLayerGrid, base, 8)
+        for k in range(150):
+            w, h = rng.uniform(0.005, 0.2, 2)
+            x, y = rng.uniform(0, 1.0 - w), rng.uniform(0, 1.0 - h)
+            rect = Rect(float(x), float(y), float(x + w), float(y + h))
+            packed.insert(rect, len(base) + k)
+            legacy.insert(rect, len(base) + k)
+        for victim in rng.choice(len(base), 150, replace=False).tolist():
+            assert packed.delete(base.rect(victim), victim)
+            assert legacy.delete(base.rect(victim), victim)
+        base_rows = packed._store.tile_counts()
+        assert packed._store.n_dead
+        assert any(base_rows[t] for t in packed._tiles)  # base + overlay
+        assert legacy._store is None
+
+        t = 1.0 / 8
+        probe = windows(40, seed=97) + [
+            Rect(0.0, 0.0, 1.0, 1.0),
+            Rect(2 * t, 3 * t, 5 * t, 5 * t),  # tile-boundary aligned
+            Rect(3 * t, 0.0, 3 * t, 1.0),  # degenerate, on a tile edge
+        ]
+        heat_p = TileHeatAccumulator(8, 8, half_life_s=0.0)
+        heat_l = TileHeatAccumulator(8, 8, half_life_s=0.0)
+        sp, sl = HeatStats(heat_p), HeatStats(heat_l)
+        for w in probe:
+            got_p = packed.window_query(w, sp)
+            got_l = legacy.window_query(w, sl)
+            assert ids_set(got_p) == ids_set(got_l), w
+            assert len(got_p) == len(got_l) == len(ids_set(got_p)), w
+            assert sp.as_dict() == sl.as_dict(), w
+            # results do not depend on whether stats were requested
+            assert ids_set(packed.window_query(w)) == ids_set(got_p), w
+            assert packed.count_window(w) == len(got_p), w
+            pp, pl = explain_window(packed, w), explain_window(legacy, w)
+            assert pp.tiles_by_class == pl.tiles_by_class, w
+            assert pp.stats == pl.stats, w
+        sp.flush()
+        sl.flush()
+        for name in ("scans", "rows", "present"):
+            np.testing.assert_allclose(
+                getattr(heat_p, name), getattr(heat_l, name), err_msg=name
+            )
+        assert heat_p.total_visits == heat_l.total_visits
+
+
 class TestExplainParity:
     """EXPLAIN must report identical accounting from the packed path."""
 
@@ -299,12 +342,8 @@ class TestExplainParity:
         data = RectDataset.from_rects(self.HAND_RECTS)
         domain = Rect(0.0, 0.0, 1.0, 1.0)
         return (
-            TwoLayerGrid.build(
-                data, partitions_per_dim=4, domain=domain, storage="packed"
-            ),
-            TwoLayerGrid.build(
-                data, partitions_per_dim=4, domain=domain, storage="legacy"
-            ),
+            TwoLayerGrid.build(data, partitions_per_dim=4, domain=domain),
+            insert_built(TwoLayerGrid, data, 4, domain=domain),
         )
 
     def test_window_plans_match(self, hand_pair):
@@ -341,33 +380,36 @@ class TestExplainParity:
 
 
 class TestPersistenceParity:
-    @pytest.mark.parametrize("save_storage", ["packed", "legacy"])
-    @pytest.mark.parametrize("load_storage", ["packed", "legacy"])
+    @pytest.mark.parametrize("saved_from", ["packed", "legacy"])
+    @pytest.mark.parametrize("checked_against", ["packed", "legacy"])
     def test_roundtrip_across_backends(
-        self, tmp_path, data, save_storage, load_storage
+        self, tmp_path, pair, saved_from, checked_against
     ):
-        index = TwoLayerGrid.build(
-            data, partitions_per_dim=GRID, storage=save_storage
-        )
+        """A loaded index (always a packed base) matches the bulk-loaded
+        index and the per-tile reference, whichever of them was saved."""
+        by_name = dict(zip(("packed", "legacy"), pair))
+        index = by_name[saved_from]
         path = tmp_path / "idx.npz"
         save_index(index, path)
-        loaded = load_index(path, storage=load_storage)
-        assert loaded.storage == load_storage
-        assert loaded.replica_count == index.replica_count
+        assert (index._store is None) == (saved_from == "legacy")
+        loaded = load_index(path)
+        assert loaded._store is not None and not loaded._tiles
+        want = by_name[checked_against]
+        assert loaded.replica_count == want.replica_count
         for w in windows(8, seed=59):
             assert_query_parity(
                 lambda s, w=w: loaded.window_query(w, s),
-                lambda s, w=w: index.window_query(w, s),
+                lambda s, w=w: want.window_query(w, s),
             )
 
     def test_packed_save_after_updates(self, tmp_path):
         base = generate_uniform_rects(300, area=1e-3, seed=61)
-        index = TwoLayerGrid.build(base, partitions_per_dim=8, storage="packed")
+        index = TwoLayerGrid.build(base, partitions_per_dim=8)
         index.insert(Rect(0.1, 0.1, 0.3, 0.2), 300)
         assert index.delete(base.rect(5), 5)
         path = tmp_path / "idx.npz"
         save_index(index, path)  # delta rows + tombstones flattened out
-        loaded = load_index(path, storage="packed")
+        loaded = load_index(path)
         assert loaded.replica_count == index.replica_count
         w = Rect(0.0, 0.0, 1.0, 1.0)
         assert ids_set(loaded.window_query(w)) == ids_set(index.window_query(w))
@@ -376,7 +418,7 @@ class TestPersistenceParity:
 class TestSnapshotPackedBase:
     def test_base_shared_by_reference_across_versions(self):
         data = generate_uniform_rects(500, area=1e-3, seed=67)
-        index = TwoLayerGrid.build(data, partitions_per_dim=8, storage="packed")
+        index = TwoLayerGrid.build(data, partitions_per_dim=8)
         store = SnapshotStore(index, data)
         base = store.current.index._store
         for k in range(10):
@@ -386,7 +428,7 @@ class TestSnapshotPackedBase:
 
     def test_cow_delete_forks_tombstones_only(self):
         data = generate_uniform_rects(500, area=1e-3, seed=71)
-        index = TwoLayerGrid.build(data, partitions_per_dim=8, storage="packed")
+        index = TwoLayerGrid.build(data, partitions_per_dim=8)
         store = SnapshotStore(index, data)
         old = store.current
         w = Rect(0.0, 0.0, 1.0, 1.0)
@@ -404,7 +446,7 @@ class TestSnapshotPackedBase:
 
     def test_delete_of_delta_insert(self):
         data = generate_uniform_rects(200, area=1e-3, seed=73)
-        index = TwoLayerGrid.build(data, partitions_per_dim=8, storage="packed")
+        index = TwoLayerGrid.build(data, partitions_per_dim=8)
         store = SnapshotStore(index, data)
         obj_id, _ = store.insert(Rect(0.5, 0.5, 0.55, 0.55))
         found, _ = store.delete(obj_id)
@@ -436,7 +478,7 @@ class TestTileTableRegressions:
 
     def test_tombstone_delete_never_rebuilds_base(self):
         data = generate_uniform_rects(300, area=1e-3, seed=79)
-        index = TwoLayerGrid.build(data, partitions_per_dim=8, storage="packed")
+        index = TwoLayerGrid.build(data, partitions_per_dim=8)
         store = index._store
         xl = store.xl
         assert index.delete(data.rect(10), 10)
@@ -480,13 +522,3 @@ class TestPackedStoreUnit:
         assert store.mark_dead(np.array([2, 3])) == 1  # 2 already dead
         assert store.n_live == 1
         assert store.group_counts().tolist() == [1]
-
-    def test_resolve_storage_mode(self, monkeypatch):
-        assert resolve_storage_mode("packed") is True
-        assert resolve_storage_mode("legacy") is False
-        with pytest.raises(ValueError):
-            resolve_storage_mode("mmap")
-        monkeypatch.delenv("REPRO_PACKED", raising=False)
-        assert packed_storage_default() is True
-        monkeypatch.setenv("REPRO_PACKED", "0")
-        assert resolve_storage_mode(None) is False

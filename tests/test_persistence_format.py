@@ -1,12 +1,13 @@
 """The columnar on-disk container and the persistence contract around it.
 
 Covers the raw format (header/section-table/alignment/version gates),
-round-trips across every index class x save format x load backend on a
-dataset engineered to hit classes A-D, empty tiles and domain-edge
+round-trips across every index class x save format x source index
+(bulk-loaded or the insert-built per-tile reference) on a dataset
+engineered to hit classes A-D, empty tiles and domain-edge
 rects, the ``writeable=False`` snapshot guarantee, the dirty-save
 (``if_dirty``) contract, the 2-layer+ persisted sort orders, the
-compiled-kernel fallback knobs plus direct parity of the pure-python
-kernel bodies, the file-backed shard arena, and — the tentpole claim —
+kernel-tier selection plus direct parity of the pure-python kernel
+bodies, the file-backed shard arena, and — the tentpole claim —
 that a memmap load does not page slab bytes in until the first query
 (asserted against ``/proc/self/smaps``).
 """
@@ -38,10 +39,18 @@ from repro.grid import OneLayerGrid
 from repro.grid import kernels as _kernels
 from repro.stats import QueryStats
 
-from conftest import ids_set
+from conftest import ids_set, insert_built
 
 GRID_CLASSES = (OneLayerGrid, TwoLayerGrid, TwoLayerPlusGrid)
+#: how the saved index was built: bulk-loaded (packed base) or grown by
+#: insert() alone (conftest.insert_built: no base, per-tile tables only).
 STORAGES = ("packed", "legacy")
+
+
+def _build(cls, data, storage):
+    if storage == "packed":
+        return cls.build(data, partitions_per_dim=8)
+    return insert_built(cls, data, 8)
 
 
 @pytest.fixture(scope="module")
@@ -176,7 +185,7 @@ class TestContainerFormat:
             )
 
 
-# -- index round-trips across class x format x backend ----------------------
+# -- index round-trips across class x format x source index -----------------
 
 
 class TestRoundTrip:
@@ -184,12 +193,13 @@ class TestRoundTrip:
     @pytest.mark.parametrize("fmt", SAVE_FORMATS)
     @pytest.mark.parametrize("storage", STORAGES)
     def test_window_and_disk_parity(self, data, tmp_path, cls, fmt, storage):
-        index = cls.build(data, partitions_per_dim=8)
+        index = _build(cls, data, storage)
         path = tmp_path / "index.bin"
         save_index(index, path, format=fmt)
         assert container.is_columnar(path) == (fmt == "columnar")
-        loaded = load_index(path, storage=storage)
+        loaded = load_index(path)
         assert type(loaded) is cls
+        assert loaded._store is not None and not loaded._tiles
         assert len(loaded) == len(index)
         assert loaded.replica_count == index.replica_count
         for w in _windows(data):
@@ -208,12 +218,11 @@ class TestRoundTrip:
     def test_legacy_built_index_saves_too(
         self, data, tmp_path, fmt, src_storage
     ):
-        """The writer accepts either backend, not just packed."""
-        index = TwoLayerGrid.build(
-            data, partitions_per_dim=8, storage=src_storage
-        )
+        """The writer accepts a base-less index, and leaves it as it was."""
+        index = _build(TwoLayerGrid, data, src_storage)
         path = tmp_path / "index.bin"
         save_index(index, path, format=fmt)
+        assert (index._store is None) == (src_storage == "legacy")
         loaded = load_index(path)
         w = Rect(0.2, 0.2, 0.7, 0.7)
         assert ids_set(loaded.window_query(w)) == ids_set(
@@ -274,26 +283,16 @@ class TestWriteableFalse:
     @pytest.mark.parametrize("fmt", SAVE_FORMATS)
     @pytest.mark.parametrize("storage", STORAGES)
     def test_loaded_columns_frozen(self, data, tmp_path, fmt, storage):
-        index = TwoLayerGrid.build(data, partitions_per_dim=8)
+        index = _build(TwoLayerGrid, data, storage)
         path = tmp_path / "index.bin"
         save_index(index, path, format=fmt)
-        loaded = load_index(path, storage=storage)
-        if storage == "packed":
-            store = loaded._store
-            for arr in (
-                store.offsets, store.xl, store.yl, store.xu, store.yu,
-                store.ids,
-            ):
-                assert not arr.flags.writeable
-                with pytest.raises(ValueError):
-                    arr[:1] = 0
-        else:
-            tables = next(iter(loaded._tiles.values()))
-            table = next(t for t in tables if t is not None)
-            for arr in table.columns():
-                assert not arr.flags.writeable
-                with pytest.raises(ValueError):
-                    arr[:1] = 0
+        store = load_index(path)._store
+        for arr in (
+            store.offsets, store.xl, store.yl, store.xu, store.yu, store.ids,
+        ):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[:1] = 0
 
     def test_updates_still_work_via_overlay(self, data, tmp_path):
         """Frozen base + delta overlay: mutation API stays available."""
@@ -316,21 +315,21 @@ class TestWriteableFalse:
 class TestDirtySave:
     @pytest.mark.parametrize("fmt", SAVE_FORMATS)
     def test_overlay_error_mode(self, data, tmp_path, fmt):
-        index = TwoLayerGrid.build(data, partitions_per_dim=8, storage="packed")
+        index = TwoLayerGrid.build(data, partitions_per_dim=8)
         index.insert(Rect(0.1, 0.1, 0.11, 0.11))
         with pytest.raises(IndexStateError, match="1 overlay rows"):
             save_index(index, tmp_path / "x.bin", format=fmt, if_dirty="error")
 
     @pytest.mark.parametrize("fmt", SAVE_FORMATS)
     def test_tombstone_error_mode(self, data, tmp_path, fmt):
-        index = TwoLayerGrid.build(data, partitions_per_dim=8, storage="packed")
+        index = TwoLayerGrid.build(data, partitions_per_dim=8)
         assert index.delete(data.rect(0), 0)
         with pytest.raises(IndexStateError, match="tombstones"):
             save_index(index, tmp_path / "x.bin", format=fmt, if_dirty="error")
 
     @pytest.mark.parametrize("fmt", SAVE_FORMATS)
     def test_compact_mode_folds_and_persists(self, data, tmp_path, fmt):
-        index = TwoLayerGrid.build(data, partitions_per_dim=8, storage="packed")
+        index = TwoLayerGrid.build(data, partitions_per_dim=8)
         new_id = index.insert(Rect(0.1, 0.1, 0.11, 0.11))
         assert index.delete(data.rect(0), 0)
         path = tmp_path / "x.bin"
@@ -416,7 +415,7 @@ class TestLazyPageIn:
         save_index(index, path)
         assert os.path.getsize(path) > 8 * len(big) * 8  # real slabs
 
-        loaded = load_index(path, storage="packed")
+        loaded = load_index(path)
         rss_cold = _mapped_rss_kb(str(path))
         assert rss_cold >= 0, "container mapping not found in smaps"
         # Loading read the header/table/meta via plain file reads; the
@@ -438,7 +437,7 @@ class TestPersistedOrders:
         index = TwoLayerPlusGrid.build(data, partitions_per_dim=8)
         path = tmp_path / "plus.bin"
         save_index(index, path)
-        loaded = load_index(path, storage="packed")
+        loaded = load_index(path)
         assert loaded._persisted_orders is not None
         assert len(loaded._persisted_orders) == 4
 
@@ -479,48 +478,44 @@ class TestPersistedOrders:
         )
 
 
-# -- compiled kernel tier: knobs and pure-python body parity ---------------
+# -- compiled kernel tier: selection and pure-python body parity -----------
 
 
 class TestCompiledTier:
-    def test_storage_compiled_degrades_gracefully(self, data):
-        index = TwoLayerGrid.build(data, partitions_per_dim=8, storage="compiled")
+    def test_kernel_mode_follows_importability(self, data):
+        """The tier is "is numba installed" — no argument, no env var."""
         expected = "compiled" if _kernels.compiled_available() else "vectorized"
-        assert index.kernel_mode == expected
-        assert index.storage == "packed"  # compiled implies the packed backend
+        for index in (
+            TwoLayerGrid.build(data, partitions_per_dim=8),
+            OneLayerGrid.build(data, partitions_per_dim=8),
+            insert_built(TwoLayerPlusGrid, data, 8),
+        ):
+            assert index.kernel_mode == expected == _kernels.kernel_mode()
         w = Rect(0.2, 0.2, 0.7, 0.7)
         assert ids_set(index.window_query(w)) == ids_set(
             data.brute_force_window(w)
         )
-
-    def test_env_default_flips_packed_indexes(self, data, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "compiled")
-        assert _kernels.compiled_kernel_default()
-        assert _kernels.resolve_kernel_mode(None) == (
-            _kernels.compiled_available()
-        )
-        assert _kernels.resolve_kernel_mode("legacy") is False
-        index = TwoLayerGrid.build(data, partitions_per_dim=8, storage="packed")
-        expected = "compiled" if _kernels.compiled_available() else "vectorized"
-        assert index.kernel_mode == expected
-        monkeypatch.delenv("REPRO_KERNEL")
-        assert _kernels.resolve_kernel_mode(None) is False
-        assert _kernels.resolve_kernel_mode("compiled") == (
-            _kernels.compiled_available()
-        )
-
-    def test_legacy_storage_never_compiled(self, data, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "compiled")
-        index = TwoLayerGrid.build(data, partitions_per_dim=8, storage="legacy")
-        assert index.kernel_mode == "vectorized"
 
     # Direct parity of the kernel *bodies* (pure-python, numba-free):
     # the same code numba jits, executed interpreted against the
     # vectorised reference — so tier-1 CI proves the logic even though
     # the compiled extra is absent there.
 
+    @staticmethod
+    def _body(q, store, stride, index, rng, bounds, dead=None, clamp=None,
+              count=False):
+        """Run the to-be-jitted slab body interpreted, as window_slabs does."""
+        ix0, ix1, iy0, iy1 = rng
+        out = _kernels._window_slabs_py(
+            q, store.ids, np.ascontiguousarray(store.offsets[::stride]),
+            index.grid.nx, ix0, ix1, iy0, iy1, bounds,
+            np.zeros(0, dtype=bool) if dead is None else dead,
+            *(clamp or (0, store.n_rows)), count,
+        )
+        return int(out[0]) if count else out
+
     def test_window_scan_body_two_layer(self, data):
-        index = TwoLayerGrid.build(data, partitions_per_dim=8, storage="packed")
+        index = TwoLayerGrid.build(data, partitions_per_dim=8)
         q = index._build_fast_q()
         store = index._store
         for w in _windows(data):
@@ -528,18 +523,13 @@ class TestCompiledTier:
             bounds = np.array(
                 [w.xl, -w.xu, w.yl, -w.yu, float(-ix0), float(-iy0)]
             )
-            got = _kernels._window_scan_py(
-                q, store.ids, store.offsets, 4, index.grid.nx,
-                ix0, iy0, iy1, ix1 - ix0 + 1, bounds,
-            )
+            got = self._body(q, store, 4, index, (ix0, ix1, iy0, iy1), bounds)
             want = index.window_query(w)
             np.testing.assert_array_equal(np.sort(got), np.sort(want))
 
     @pytest.mark.parametrize("dedup", ("refpoint", "hash"))
     def test_window_scan_body_one_layer(self, data, dedup):
-        index = OneLayerGrid.build(
-            data, partitions_per_dim=8, dedup=dedup, storage="packed"
-        )
+        index = OneLayerGrid.build(data, partitions_per_dim=8, dedup=dedup)
         q = index._build_fast_q()
         store = index._store
         for w in _windows(data):
@@ -554,16 +544,13 @@ class TestCompiledTier:
             else:
                 qq = q[:4]
                 bounds = np.array([w.xl, -w.xu, w.yl, -w.yu])
-            got = _kernels._window_scan_py(
-                qq, store.ids, store.offsets, 1, index.grid.nx,
-                ix0, iy0, iy1, ix1 - ix0 + 1, bounds,
-            )
+            got = self._body(qq, store, 1, index, (ix0, ix1, iy0, iy1), bounds)
             if dedup == "hash":
                 got = np.unique(got)
             assert ids_set(got) == ids_set(index.window_query(w)), w
 
     def test_window_count_body(self, data):
-        index = TwoLayerGrid.build(data, partitions_per_dim=8, storage="packed")
+        index = TwoLayerGrid.build(data, partitions_per_dim=8)
         q = index._build_fast_q()
         store = index._store
         for w in _windows(data):
@@ -571,14 +558,25 @@ class TestCompiledTier:
             bounds = np.array(
                 [w.xl, -w.xu, w.yl, -w.yu, float(-ix0), float(-iy0)]
             )
-            got = _kernels._window_count_py(
-                q, store.offsets, 4, index.grid.nx,
-                ix0, iy0, iy1, ix1 - ix0 + 1, bounds,
+            rng = (ix0, ix1, iy0, iy1)
+            got = self._body(q, store, 4, index, rng, bounds, count=True)
+            assert got == index.count_window(w), w
+            # tombstone mask + band clamp: both tiers agree row for row
+            dead = np.zeros(store.n_rows, dtype=bool)
+            dead[::3] = True
+            clamp = (store.n_rows // 4, 3 * store.n_rows // 4)
+            want = _kernels.window_slabs(
+                q, store.ids, store.offsets[::4].tolist(), index.grid.nx,
+                *rng, bounds, dead, clamp,
             )
-            assert int(got) == index.count_window(w), w
+            got = self._body(q, store, 4, index, rng, bounds, dead, clamp)
+            np.testing.assert_array_equal(got, want)
+            assert self._body(
+                q, store, 4, index, rng, bounds, dead, clamp, count=True
+            ) == want.shape[0]
 
     def test_disk_scan_body(self, data):
-        index = TwoLayerGrid.build(data, partitions_per_dim=8, storage="packed")
+        index = TwoLayerGrid.build(data, partitions_per_dim=8)
         store = index._store
         g = index.grid
         queries = [
@@ -593,7 +591,8 @@ class TestCompiledTier:
             got = _kernels._disk_scan_py(
                 store.offsets, store.xl, store.yl, store.xu, store.yu,
                 store.ids, g.nx, g.ny, g.domain.xl, g.domain.yl,
-                g.tile_w, g.tile_h, ix0, ix1, iy0, iy1,
+                g.domain.xu, g.domain.yu, g.tile_w, g.tile_h,
+                ix0, ix1, iy0, iy1,
                 dq.cx, dq.cy, dq.radius,
             )
             want = index.disk_query(dq)
@@ -624,7 +623,7 @@ class TestFileArena:
         save_index(index, path)
         # The file arena is a packed-CSR feature: only a packed load
         # records the container layout (legacy rebuilds tile dicts).
-        loaded = load_index(path, storage="packed")
+        loaded = load_index(path)
         manifest = self._manifest(loaded, self.CSR)
         seg, views = attach_arena(manifest, untrack=False)
         try:
@@ -648,7 +647,7 @@ class TestFileArena:
         index = TwoLayerGrid.build(data, partitions_per_dim=8)
         path = tmp_path / "served.bin"
         save_collection(index, data, path)
-        loaded = load_index(path, storage="packed")
+        loaded = load_index(path)
         bands = plan_bands(np.asarray(loaded._store.offsets[::4]), 2)
         manifest = self._manifest(
             loaded, self.CSR + ("data_xl", "data_yl", "data_xu", "data_yu")

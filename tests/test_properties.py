@@ -19,6 +19,7 @@ from repro.grid import GridPartitioner, OneLayerGrid, replicate
 from repro.core import NDimTwoLayerGrid, TwoLayerGrid, TwoLayerPlusGrid
 from repro.quadtree import MXCIFQuadTree, QuadTree, TwoLayerQuadTree
 from repro.rtree import RStarTree, RTree
+from repro.stats import QueryStats
 
 # Coordinates snapped to a coarse lattice maximise boundary collisions
 # with tile borders (1/8, 1/4, ...), the adversarial case for SOP.
@@ -54,6 +55,55 @@ def check_index(index, data: RectDataset, w: Rect) -> None:
 def test_grid_indexes_equal_brute_force(data, w, grid):
     for cls in (OneLayerGrid, TwoLayerGrid, TwoLayerPlusGrid):
         check_index(cls.build(data, partitions_per_dim=grid), data, w)
+
+
+#: index states the one window executor must serve identically.
+INDEX_STATES = ("pristine", "tombstoned", "overlay", "churned", "empty_base", "no_base")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=dataset_strategy(),
+    extra=st.lists(rect_strategy(), min_size=1, max_size=12),
+    kills=st.sets(st.integers(0, 39), min_size=1, max_size=12),
+    w=window,
+    grid=st.integers(1, 9),
+    state=st.sampled_from(INDEX_STATES),
+    cls=st.sampled_from((TwoLayerGrid, TwoLayerPlusGrid)),
+)
+def test_count_window_equals_window_query_length(
+    data, extra, kills, w, grid, state, cls
+):
+    """count and ids come from one executor in every index state, with
+    or without stats — lattice coordinates keep windows tile-aligned."""
+    live = {i: data.rect(i) for i in range(len(data))}
+    if state in ("empty_base", "no_base"):
+        index = cls(GridPartitioner(grid, grid))
+        if state == "empty_base":
+            index.compact()  # a base with zero rows; everything is overlay
+            assert index._store is not None
+        for i, r in live.items():
+            index.insert(r, i)
+    else:
+        index = cls.build(data, partitions_per_dim=grid)
+    if state in ("overlay", "churned"):
+        for r in extra:
+            live[index.insert(r)] = r
+    if state in ("tombstoned", "churned"):
+        for i in sorted(kills):
+            if i in live:
+                assert index.delete(live.pop(i), i)
+    expected = {
+        i
+        for i, r in live.items()
+        if r.xl <= w.xu and r.xu >= w.xl and r.yl <= w.yu and r.yu >= w.yl
+    }
+    got = index.window_query(w)
+    assert len(got) == len(set(got.tolist())), "duplicates"
+    assert set(got.tolist()) == expected
+    assert index.count_window(w) == len(got)
+    with_stats = index.window_query(w, QueryStats())
+    assert sorted(with_stats.tolist()) == sorted(got.tolist())
 
 
 @settings(max_examples=60, deadline=None)

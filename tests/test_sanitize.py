@@ -12,6 +12,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import insert_built
+
 from repro.analysis.sanitize import (
     SanitizerError,
     check_delta_disjoint,
@@ -23,7 +25,7 @@ from repro.analysis.sanitize import (
     on_window_query,
     verify_window_result,
 )
-from repro.core import TwoLayerGrid
+from repro.core import TwoLayerGrid, TwoLayerPlusGrid
 from repro.datasets import generate_uniform_rects
 from repro.geometry import Rect
 from repro.grid import OneLayerGrid
@@ -162,14 +164,14 @@ class TestFreeze:
 
     def test_check_snapshot_freezes_base_columns(self):
         data = generate_uniform_rects(300, area=1e-3, seed=11)
-        index = TwoLayerGrid.build(data, partitions_per_dim=8, storage="packed")
+        index = TwoLayerGrid.build(data, partitions_per_dim=8)
         check_snapshot(index, "test")
         with pytest.raises(ValueError):
             index._store.ids[0] = 99
 
     def test_check_snapshot_legacy_backend_is_noop(self):
         data = generate_uniform_rects(100, area=1e-3, seed=11)
-        index = TwoLayerGrid.build(data, partitions_per_dim=8, storage="legacy")
+        index = insert_built(TwoLayerGrid, data, 8)  # all overlay, no base
         check_snapshot(index, "test")
 
 
@@ -230,24 +232,36 @@ class TestEnvGating:
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         data = generate_uniform_rects(200, area=1e-3, seed=3)
         # a clean build passes through the from_rows hook untripped
-        TwoLayerGrid.build(data, partitions_per_dim=8, storage="packed")
+        TwoLayerGrid.build(data, partitions_per_dim=8)
 
     def test_corrupted_store_caught_at_query_time(self, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         monkeypatch.setenv("REPRO_SANITIZE_SAMPLE", "1")
         data = generate_uniform_rects(300, area=1e-3, seed=7)
-        index = TwoLayerGrid.build(data, partitions_per_dim=8, storage="packed")
+        index = TwoLayerGrid.build(data, partitions_per_dim=8)
         store = index._store
         thaw(store)
         store.ids[:] = store.ids[0]  # smash the id column: mass duplicates
         with pytest.raises(SanitizerError):
             index.window_query(Rect(0.0, 0.0, 1.0, 1.0))
 
+    def test_corrupted_two_layer_plus_query_matrix_caught(self, monkeypatch):
+        """2-layer⁺ inherits window_query whole, sanitizer hook included
+        (its own copy of the hot route used to return unchecked)."""
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        monkeypatch.setenv("REPRO_SANITIZE_SAMPLE", "1")
+        data = generate_uniform_rects(300, area=1e-3, seed=7)
+        index = TwoLayerPlusGrid.build(data, partitions_per_dim=8)
+        index._build_fast_q()[0] = -np.inf  # no row passes xu >= w.xl
+        with expect_check("window_result_parity") as exc:
+            index.window_query(Rect(0.2, 0.2, 0.6, 0.6))
+        assert exc.value.details["missing"]
+
     def test_sampled_hook_skips_between_samples(self, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         monkeypatch.setenv("REPRO_SANITIZE_SAMPLE", "1000000")
         data = generate_uniform_rects(300, area=1e-3, seed=7)
-        index = TwoLayerGrid.build(data, partitions_per_dim=8, storage="packed")
+        index = TwoLayerGrid.build(data, partitions_per_dim=8)
         # wrong ids, but the sample period means this call is not checked
         on_window_query(index, Rect(0.0, 0.0, 1.0, 1.0), np.array([1, 1]))
 

@@ -165,6 +165,8 @@ class TestShardedEndToEnd:
                 c2.window(xs[0], ys[0], xs[1], ys[1])
             except ServerError as exc:
                 assert exc.code == "degraded", exc
+                # the link's cause of death is quoted, not swallowed
+                assert "connection closed" in str(exc), exc
                 degraded = True
                 break
         assert degraded, "killed worker never produced a degraded error"
@@ -172,6 +174,25 @@ class TestShardedEndToEnd:
         assert c2.stats()["shards"]["dead"] == [0]
         # knn reroutes to the surviving worker and stays correct
         assert c2.knn(0.5, 0.5, 5) == c1.knn(0.5, 0.5, 5)
+
+    def test_large_result_does_not_kill_workers(self):
+        """Regression: a ``batch_r`` line over asyncio's default 64 KiB
+        stream limit raised in the router's read loop, was swallowed,
+        and left the worker marked dead for good."""
+        single, h1, p1 = _spawn("--n", "30000")
+        sharded, h2, p2 = _spawn("--n", "30000", "--shards", "2")
+        try:
+            with SpatialClient(h1, p1) as c1, SpatialClient(h2, p2) as c2:
+                whole = (0.0, 0.0, 1.0, 1.0)
+                got = c2.window(*whole)  # ~100 KiB of ids per shard frame
+                assert len(got) >= 20000
+                assert sorted(got) == sorted(c1.window(*whole))
+                shards = c2.stats()["shards"]
+                assert shards["dead"] == [] and shards["count"] == 2
+                assert c2.count(*whole) == len(got)  # and still serving
+        finally:
+            _reap(sharded)
+            _reap(single)
 
     def test_sanitizer_on_sharded_path(self):
         shm_before = _shm_entries()

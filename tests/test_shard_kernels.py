@@ -16,6 +16,7 @@ from repro.core.two_layer import TwoLayerGrid
 from repro.datasets.dataset import RectDataset
 from repro.datasets.queries import DiskQuery
 from repro.geometry.mbr import Rect
+from repro.grid import kernels
 from repro.grid.base import GridPartitioner
 from repro.stats import QueryStats
 from repro.server.snapshot import SnapshotStore
@@ -43,17 +44,17 @@ def make_data(n=4000, seed=21):
 
 def make_global(data):
     grid = GridPartitioner(NX, NY, DOMAIN)
-    index = TwoLayerGrid(grid, storage="packed")
+    index = TwoLayerGrid(grid)
     index._bulk_load(data)
     index._build_fast_q()
     return index
 
 
-def make_shards(index):
-    bands = plan_bands(index._store.offsets[::4], SHARDS)
+def make_shards(index, k=SHARDS):
+    bands = plan_bands(index._store.offsets[::4], k)
     shards = []
     for band in bands:
-        s = BandedTwoLayerGrid(index.grid, band, storage="packed")
+        s = BandedTwoLayerGrid(index.grid, band)
         s._store = index._store
         s._n_objects = index._n_objects
         s._fast_q = index._fast_q
@@ -113,6 +114,16 @@ class TestReadParity:
             q = DiskQuery(
                 rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(0.01, 0.2)
             )
+            ref = sorted(index.disk_query(q).tolist())
+            assert union(s.disk_query(q) for s in shards) == ref
+
+    def test_compiled_disk_route_stays_banded(self, setup, monkeypatch):
+        # With numba installed every index is on the compiled tier; its
+        # whole-base disk scan knows no band, so banded indexes must
+        # keep the clamped plan (run here with the interpreted body).
+        monkeypatch.setattr(kernels, "compiled_available", lambda: True)
+        data, index, bands, shards = setup
+        for q in (DiskQuery(0.5, 0.5, 0.2), DiskQuery(0.1, 0.9, 0.05)):
             ref = sorted(index.disk_query(q).tolist())
             assert union(s.disk_query(q) for s in shards) == ref
 
@@ -203,6 +214,52 @@ class TestWriteParity:
             )
             refd = sorted(g.index.disk_query(q).tolist())
             assert union(r.index.disk_query(q) for r in reps) == refd
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_band_concat_is_exactly_once_through_churn(self, k):
+        """Concatenated band results == the global result, no id twice —
+        pristine, then with overlay rows and tombstones in every band."""
+        data = make_data(n=1500, seed=51)
+        index = make_global(data)
+        _bands, shards = make_shards(index, k)
+        for shard in shards:  # replicas tombstone privately, like workers
+            shard._store = index._store.with_private_dead()
+        replicas = [index, *shards]
+        rng = np.random.default_rng(9)
+        t = 1.0 / NX
+        wins = [
+            Rect(0.0, 0.0, 1.0, 1.0),
+            Rect(2 * t, 3 * t, 9 * t, 11 * t),  # tile-boundary aligned
+            Rect(0.0, 7 * t, 1.0, 7 * t),  # degenerate, on a tile edge
+        ]
+        for _ in range(40):
+            xs = sorted(rng.uniform(0, 1, 2))
+            ys = sorted(rng.uniform(0, 1, 2))
+            wins.append(Rect(xs[0], ys[0], xs[1], ys[1]))
+
+        def check():
+            for win in wins:
+                ref = index.window_query(win)
+                got = np.concatenate([s.window_query(win) for s in shards])
+                assert np.unique(got).shape[0] == got.shape[0], win
+                assert sorted(got.tolist()) == sorted(ref.tolist()), win
+                assert sum(s.count_window(win) for s in shards) == len(ref)
+
+        check()
+        next_id = len(data)
+        for i in range(120):
+            if i % 2:
+                victim = int(rng.integers(0, len(data)))
+                found = {r.delete(data.rect(victim), victim) for r in replicas}
+                assert len(found) == 1
+            else:
+                x, y = rng.uniform(0, 0.9, 2)
+                rect = Rect(x, y, x + rng.uniform(0.001, 0.1), y + 0.03)
+                for r in replicas:
+                    r.insert(rect, next_id)
+                next_id += 1
+        assert index._tiles and index._store.n_dead
+        check()
 
     def test_snapshot_fork_preserves_band(self):
         data = make_data(n=400, seed=41)
