@@ -1,9 +1,9 @@
 """Serving benchmark: micro-batched vs unbatched request throughput.
 
 Spawns two ``python -m repro --serve`` subprocesses — one with batching
-disabled (``--max-batch 1 --coalesce-ms 0``) and one with the default
-coalescing micro-batcher — then drives each with closed-loop client
-threads at several concurrency levels.  Records p50/p95/p99 latency and
+disabled (``--max-batch 1``) and one with the default micro-batcher
+(first request plus whatever is already queued) — then drives each
+with closed-loop client threads at several concurrency levels.  Records p50/p95/p99 latency and
 aggregate throughput per (mode, clients) cell, plus an open-loop
 overload phase against a deliberately tiny admission queue to show
 backpressure rejects rather than hangs.
@@ -15,7 +15,7 @@ Run directly (not through pytest-benchmark)::
 Results land in ``benchmarks/results/BENCH_serving.json``.  Two
 acceptance bars: batched throughput >= 1.5x unbatched at the highest
 concurrency level (the batcher amortises per-request event-loop and
-tile-scan work across the coalesced batch, the serving analogue of the
+tile-scan work across each batch, the serving analogue of the
 paper's Section VI batch-evaluation speedups), and live telemetry —
 request tracing, per-verb histograms, tile heat — must cost at most
 ``--max-telemetry-overhead`` percent of telemetry-off throughput
@@ -231,12 +231,12 @@ def closed_loop(
 
 
 def overload_phase(n: int, seed: int) -> dict:
-    """Open-loop: pipeline far more requests than a tiny queue admits in
-    one coalescing window; the server must answer every frame — a mix of
-    results and structured ``overloaded`` rejections, never a hang."""
+    """Open-loop: pipeline far more requests than a tiny queue admits
+    while one batch executes; the server must answer every frame — a mix
+    of results and structured ``overloaded`` rejections, never a hang."""
     proc, host, port = spawn_server(
         "--n", str(n), "--seed", str(seed),
-        "--queue-depth", "8", "--max-batch", "4", "--coalesce-ms", "25",
+        "--queue-depth", "8", "--max-batch", "4",
     )
     # burst stays below the server's per-connection send-queue depth
     # (256): every response frame must fit in flight while this client
@@ -274,7 +274,7 @@ def telemetry_phase(args) -> dict:
     top = max(args.clients)
     flags = [
         "--n", str(args.n), "--seed", str(args.seed),
-        "--queue-depth", "4096", "--max-batch", "64", "--coalesce-ms", "0",
+        "--queue-depth", "4096", "--max-batch", "64",
     ]
     servers: dict[str, tuple] = {}
     best: dict[str, dict] = {}
@@ -356,7 +356,7 @@ def sharded_phase(args) -> dict:
     top = max(args.clients)
     flags = [
         "--n", str(args.n), "--seed", str(args.seed),
-        "--queue-depth", "4096", "--max-batch", "64", "--coalesce-ms", "0",
+        "--queue-depth", "4096", "--max-batch", "64",
     ]
     sweep = sorted(set(args.shards_sweep))
     servers: dict[int, tuple] = {}
@@ -635,8 +635,8 @@ def main(argv: "list[str] | None" = None) -> int:
         return 0
 
     modes = {
-        "unbatched": ["--max-batch", "1", "--coalesce-ms", "0"],
-        "batched": ["--max-batch", "64", "--coalesce-ms", "0"],
+        "unbatched": ["--max-batch", "1"],
+        "batched": ["--max-batch", "64"],
     }
     sweep_telemetry = "off" if args.telemetry == "off" else "on"
     common = [

@@ -107,12 +107,6 @@ def main(argv: "list[str] | None" = None) -> int:
         help="with --serve: micro-batch size cap (1 disables batching)",
     )
     parser.add_argument(
-        "--coalesce-ms",
-        type=float,
-        default=2.0,
-        help="with --serve: micro-batch coalescing window in ms",
-    )
-    parser.add_argument(
         "--shards",
         type=int,
         default=1,
@@ -249,7 +243,6 @@ def _serve(args) -> int:
         port=int(port),
         queue_depth=args.queue_depth,
         max_batch=args.max_batch,
-        coalesce_ms=args.coalesce_ms,
         telemetry=args.telemetry == "on",
         slowlog_ms=args.slowlog_ms,
         metrics_port=args.metrics_port,
@@ -272,7 +265,7 @@ def _serve(args) -> int:
             f"serving on {bound_host}:{bound_port} "
             f"({source}, objects={len(col)}, "
             f"grid={col.index.grid.nx}x{col.index.grid.ny}, "
-            f"max_batch={args.max_batch}, coalesce_ms={args.coalesce_ms}, "
+            f"max_batch={args.max_batch}, "
             f"queue_depth={args.queue_depth}, telemetry={args.telemetry}, "
             f"shards={args.shards})",
             flush=True,

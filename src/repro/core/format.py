@@ -252,15 +252,17 @@ def read_container(
     One shared ``np.memmap`` backs every view, so nothing is read from
     disk here beyond the header/table/metadata pages — slab bytes page
     in lazily on first access.  All views are ``writeable=False``
-    (``mode="r"``): the loaded index is a pinned snapshot.
+    (``mode="r"``): the loaded index is a pinned snapshot.  The views
+    are plain ``np.ndarray`` (sliced from ``np.asarray(mm)``), so every
+    later slab slice skips ``np.memmap.__array_finalize__``.
     """
     _version, meta, sections = read_header(path)
     # The single shared mapping below is the memmap fast path the REP007
     # helper contract funnels every caller through (read_header above
     # has already validated magic + version for this file handle).
-    mm = np.memmap(path, dtype=np.uint8, mode="r")
+    buf = np.asarray(np.memmap(path, dtype=np.uint8, mode="r"))
     views: dict[str, np.ndarray] = {}
     for name, spec in sections.items():
-        flat = mm[spec.offset : spec.offset + spec.nbytes]
+        flat = buf[spec.offset : spec.offset + spec.nbytes]
         views[name] = flat.view(spec.dtype).reshape(spec.shape)
     return meta, views

@@ -6,10 +6,10 @@ protocol, built around three production mechanisms rather than socket
 plumbing:
 
 * **request micro-batching** (:mod:`repro.server.batcher`) — concurrent
-  window/disk queries arriving within a coalescing window are drained
-  together and executed through the Section VI tiles-based batch
-  evaluator, so the paper's cache-conscious batch strategy is the
-  server's hot path;
+  window/disk queries already queued when a batch starts are drained
+  together (no timer holds a batch open) and executed through the
+  Section VI tiles-based batch evaluator, so the paper's
+  cache-conscious batch strategy is the server's hot path;
 * **snapshot isolation** (:mod:`repro.server.snapshot`) — reads run
   against an immutable snapshot while ``insert``/``delete`` are
   serialised onto a writer that publishes a new snapshot atomically

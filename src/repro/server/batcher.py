@@ -1,11 +1,14 @@
-"""Request micro-batching: bounded admission queue + coalescing drain.
+"""Request micro-batching: bounded admission queue + timer-free drain.
 
 The server enqueues every accepted read request here.  The batch loop
-pulls one request, then keeps the batch open for a short *coalescing
-window* (or until ``max_batch`` requests are in hand) before executing
-the whole batch against one snapshot — window and disk queries through
-the Section VI tiles-based evaluator, so concurrent clients pay the
-per-tile scan setup once instead of once per request.
+takes the first request plus whatever is *already queued* (up to
+``max_batch``) and executes the whole batch against one snapshot —
+window and disk queries through the Section VI tiles-based evaluator,
+so concurrent clients pay the per-tile scan setup once instead of once
+per request.  No timer holds a batch open: under load, arrivals queue
+up while the previous batch executes, so batches form exactly when
+there is something to share, and an idle server answers a lone request
+at the cost of its kernel.
 
 The queue is bounded: :meth:`MicroBatcher.try_submit` never blocks and
 returns ``False`` when the queue is full, which the service translates
@@ -42,35 +45,27 @@ class PendingRequest:
         )
         #: stamped by the drain loop when the request leaves the queue;
         #: ``dequeued_at - enqueued_at`` is the admission-queue wait and
-        #: ``exec_start - dequeued_at`` the coalescing wait of a trace.
+        #: ``exec_start - dequeued_at`` the dequeue-to-execute gap of a
+        #: trace (reported as its ``coalesce_ms`` phase).
         self.dequeued_at = self.enqueued_at
 
 
 class MicroBatcher:
-    """Bounded queue with coalescing batch drain.
+    """Bounded queue drained as first request plus what is already queued.
 
-    ``coalesce_ms`` is how long the drain loop keeps a batch open after
-    its first request arrives; ``max_batch`` caps the batch size (a full
-    batch closes early).  ``max_batch=1`` (or ``coalesce_ms=0`` with an
-    empty queue) degenerates to per-request execution — the unbatched
-    baseline the serving benchmark compares against.
+    ``max_batch`` caps the batch size.  :meth:`next_batch` never waits
+    for more arrivals once it holds a request, so ``max_batch=1`` is
+    per-request execution — the unbatched baseline the serving benchmark
+    compares against.
     """
 
-    def __init__(
-        self,
-        queue_depth: int = 128,
-        max_batch: int = 64,
-        coalesce_ms: float = 2.0,
-    ):
+    def __init__(self, queue_depth: int = 128, max_batch: int = 64):
         if queue_depth < 1:
             raise ValueError(f"queue_depth must be >= 1, got {queue_depth}")
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if coalesce_ms < 0:
-            raise ValueError(f"coalesce_ms must be >= 0, got {coalesce_ms}")
         self.queue_depth = queue_depth
         self.max_batch = max_batch
-        self.coalesce_s = coalesce_ms / 1e3
         self._queue: "asyncio.Queue[PendingRequest | None]" = asyncio.Queue(
             maxsize=queue_depth
         )
@@ -104,52 +99,30 @@ class MicroBatcher:
         except asyncio.QueueFull:
             pass  # the drain loop is behind; it will see _closed
 
-    def _requeue_sentinel(self) -> None:
-        """Put a drained close-sentinel back for the next batch call."""
-        try:
-            self._queue.put_nowait(None)
-        except asyncio.QueueFull:  # pragma: no cover - closed queues drain
-            pass
-
     # -- draining ---------------------------------------------------------
 
     async def next_batch(self) -> "list[PendingRequest] | None":
         """The next micro-batch, or ``None`` once closed and drained."""
         while True:
+            # close() drops its sentinel when the queue is full, so a
+            # closed, drained queue must not be awaited on.
+            if self._closed and self._queue.empty():
+                return None
             first = await self._queue.get()
-            if first is None:
-                if self._closed and self._queue.empty():
-                    return None
-                continue
-            break
-        first.dequeued_at = time.perf_counter()
+            if first is not None:
+                break
+        now = time.perf_counter()
+        first.dequeued_at = now
         batch = [first]
-        if self.coalesce_s > 0.0 and self.max_batch > 1:
-            loop = asyncio.get_running_loop()
-            deadline = loop.time() + self.coalesce_s
-            while len(batch) < self.max_batch:
-                timeout = deadline - loop.time()
-                if timeout <= 0.0:
-                    break
-                try:
-                    item = await asyncio.wait_for(self._queue.get(), timeout)
-                except asyncio.TimeoutError:
-                    break
-                if item is None:
-                    self._requeue_sentinel()
-                    break
-                item.dequeued_at = time.perf_counter()
-                batch.append(item)
-        else:
-            now = time.perf_counter()
-            while len(batch) < self.max_batch:
-                try:
-                    item = self._queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                if item is None:
-                    self._requeue_sentinel()
-                    break
-                item.dequeued_at = now
-                batch.append(item)
+        while len(batch) < self.max_batch:
+            try:
+                item = self._queue.get_nowait()
+            except asyncio.QueueEmpty:
+                break
+            if item is None:
+                # closed: nothing queues behind the sentinel, and the
+                # next call returns None once the queue is empty
+                break
+            item.dequeued_at = now
+            batch.append(item)
         return batch

@@ -12,7 +12,7 @@ Errors are structured — a machine-readable ``code`` plus a human
 message, and for ``overloaded`` a ``retry_after_ms`` hint::
 
     <- {"id": 9, "ok": false, "error": {"code": "overloaded",
-        "message": "request queue full (depth 128)", "retry_after_ms": 20}}
+        "message": "request queue full (depth 128)", "retry_after_ms": 10}}
 
 This module is dependency-free (stdlib ``json`` + the repro error
 hierarchy) and shared verbatim by server and client; all argument

@@ -65,14 +65,12 @@ class ServerConfig:
     port: int = 0
     #: admission-control depth of the read queue (requests, not bytes).
     queue_depth: int = 128
-    #: maximum requests coalesced into one micro-batch.
+    #: maximum requests executed as one micro-batch.
     max_batch: int = 64
-    #: how long a batch stays open after its first request [ms].
-    coalesce_ms: float = 2.0
     #: admission-control depth of the serialised write queue.
     write_queue_depth: int = 64
-    #: hint sent with ``overloaded`` errors; None = 2x coalesce window.
-    retry_after_ms: "int | None" = None
+    #: back-off hint sent with ``overloaded`` errors [ms].
+    retry_after_ms: int = 10
     #: per-connection timeout for draining a response write [s].
     write_timeout_s: float = 5.0
     #: per-connection outgoing response queue depth (slow-consumer cap).
@@ -105,11 +103,6 @@ class ServerConfig:
     metrics_port: "int | None" = None
     #: bind host for the metrics listener.
     metrics_host: str = "127.0.0.1"
-
-    def effective_retry_after_ms(self) -> int:
-        if self.retry_after_ms is not None:
-            return self.retry_after_ms
-        return max(int(2 * self.coalesce_ms), 10)
 
 
 #: transport write-buffer level above which responses stop taking the
@@ -257,7 +250,6 @@ class SpatialQueryService:
         self.batcher = MicroBatcher(
             queue_depth=self.config.queue_depth,
             max_batch=self.config.max_batch,
-            coalesce_ms=self.config.coalesce_ms,
         )
         self._write_q: "asyncio.Queue[PendingRequest | None]" = asyncio.Queue(
             maxsize=self.config.write_queue_depth
@@ -469,7 +461,7 @@ class SpatialQueryService:
                 req.id,
                 "overloaded",
                 f"request queue full (depth {self.config.queue_depth})",
-                retry_after_ms=self.config.effective_retry_after_ms(),
+                retry_after_ms=self.config.retry_after_ms,
                 trace=req.trace,
             )
         )
@@ -712,7 +704,6 @@ class SpatialQueryService:
                 "config": {
                     "queue_depth": cfg.queue_depth,
                     "max_batch": cfg.max_batch,
-                    "coalesce_ms": cfg.coalesce_ms,
                     "slowlog_ms": cfg.slowlog_ms,
                     "heat_sample": cfg.heat_sample,
                     "trace_sample": cfg.trace_sample,

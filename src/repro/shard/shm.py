@@ -137,6 +137,9 @@ def _attach_file(
     # The path came out of a format-version-checked container load (the
     # REP007 contract lives in repro.core.format); here we only re-map.
     mm = np.memmap(path, dtype=np.uint8, mode="r")
+    # Plain-ndarray views: slicing them skips np.memmap.__array_finalize__;
+    # the FileArena keeps the memmap itself so close() can release it.
+    buf = np.asarray(mm)
     views: dict[str, np.ndarray] = {}
     for name, spec in manifest["arrays"].items():
         dtype = np.dtype(spec["dtype"])
@@ -146,7 +149,7 @@ def _attach_file(
             nbytes *= dim
         offset = spec["offset"]
         views[name] = (
-            mm[offset : offset + nbytes].view(dtype).reshape(shape)
+            buf[offset : offset + nbytes].view(dtype).reshape(shape)
         )
     return FileArena(path, mm), views
 

@@ -294,6 +294,27 @@ class TestWriteableFalse:
             with pytest.raises(ValueError):
                 arr[:1] = 0
 
+    @pytest.mark.parametrize("cls", (TwoLayerGrid, TwoLayerPlusGrid))
+    def test_columnar_views_are_plain_ndarrays(self, data, tmp_path, cls):
+        """Columnar loads hand out plain read-only ndarrays, not memmaps:
+        slicing an ``np.memmap`` runs ``__array_finalize__`` per slab."""
+        path = tmp_path / "col.bin"
+        save_collection(cls.build(data, partitions_per_dim=8), data, path)
+        for index, dset in (
+            (load_index(path), None),
+            load_collection(path),
+        ):
+            store = index._store
+            cols = [
+                store.offsets, store.xl, store.yl, store.xu, store.yu,
+                store.ids, index._fast_q,
+            ]
+            if dset is not None:
+                cols += [dset.xl, dset.yl, dset.xu, dset.yu]
+            for col in cols:
+                assert type(col) is np.ndarray
+                assert col.flags.writeable is False
+
     def test_updates_still_work_via_overlay(self, data, tmp_path):
         """Frozen base + delta overlay: mutation API stays available."""
         index = TwoLayerPlusGrid.build(data, partitions_per_dim=8)
@@ -638,6 +659,23 @@ class TestFileArena:
             unlink_arena(seg)
         assert os.path.exists(path), "unlink_arena must not delete the file"
         seg.close()  # idempotent
+
+    def test_views_are_plain_ndarrays_and_close_releases(
+        self, data, tmp_path
+    ):
+        from repro.shard.shm import attach_arena
+
+        path = tmp_path / "served.bin"
+        save_index(TwoLayerGrid.build(data, partitions_per_dim=8), path)
+        manifest = self._manifest(load_index(path), self.CSR)
+        seg, views = attach_arena(manifest, untrack=False)
+        for name in self.CSR:
+            assert type(views[name]) is np.ndarray, name
+            assert views[name].flags.writeable is False, name
+        mapping = seg._mm._mmap
+        del views
+        seg.close()
+        assert mapping.closed
 
     def test_workers_answer_from_the_mapped_file(self, data, tmp_path):
         from repro.shard.partition import plan_bands

@@ -143,7 +143,7 @@ class TestSaturatedService:
     def test_retrying_client_rides_out_a_saturated_queue(self):
         data = generate_uniform_rects(400, area=1e-5, seed=17)
         col = SpatialCollection.from_dataset(data, partitions_per_dim=16)
-        config = ServerConfig(queue_depth=2, max_batch=1, coalesce_ms=25.0)
+        config = ServerConfig(queue_depth=2, max_batch=1)
 
         started = threading.Event()
         stop = threading.Event()

@@ -288,6 +288,10 @@ class TestAdminVerbs:
             assert result["telemetry"] is True
             assert result["uptime_s"] >= 0.0
             assert result["config"]["trace_sample"] == 1
+            assert set(result["config"]) == {
+                "queue_depth", "max_batch", "slowlog_ms",
+                "heat_sample", "trace_sample",
+            }
             metrics = result["metrics"]
             assert metrics["server.latency_ms.window.count"] >= 1
             assert "server.live.traces_retained" in metrics

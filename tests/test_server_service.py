@@ -18,6 +18,8 @@ import pytest
 from repro.api import SpatialCollection
 from repro.datasets import generate_uniform_rects
 from repro.server import ServerConfig, SpatialQueryService
+from repro.server.batcher import MicroBatcher, PendingRequest
+from repro.server.protocol import Request
 from repro.server.client import (
     OverloadedError,
     ServerError,
@@ -210,7 +212,7 @@ class TestBatchingAndBackpressure:
 
         service_test(
             scenario,
-            config=ServerConfig(max_batch=32, coalesce_ms=25.0),
+            config=ServerConfig(max_batch=32),
         )
 
     def test_overload_rejects_with_retry_hint(self):
@@ -239,9 +241,7 @@ class TestBatchingAndBackpressure:
 
         service_test(
             scenario,
-            config=ServerConfig(
-                queue_depth=4, max_batch=2, coalesce_ms=40.0
-            ),
+            config=ServerConfig(queue_depth=4, max_batch=2),
         )
 
     def test_draining_server_answers_shutting_down(self):
@@ -293,9 +293,7 @@ class TestBatchingAndBackpressure:
 
         service_test(
             scenario,
-            config=ServerConfig(
-                queue_depth=4, max_batch=2, coalesce_ms=40.0
-            ),
+            config=ServerConfig(queue_depth=4, max_batch=2),
         )
 
     def test_stats_verb_exposes_server_metrics(self):
@@ -313,6 +311,44 @@ class TestBatchingAndBackpressure:
             assert any(k.startswith("server.") for k in frame["result"]["spans"])
 
         service_test(scenario)
+
+
+class TestMicroBatcher:
+    def _pending(self, i):
+        return PendingRequest(Request(i, "ping", {}), conn=None)
+
+    def test_batch_is_first_plus_already_queued(self):
+        async def scenario():
+            batcher = MicroBatcher(queue_depth=8, max_batch=3)
+            for i in range(5):
+                assert batcher.try_submit(self._pending(i))
+            first = await batcher.next_batch()
+            second = await batcher.next_batch()
+            assert [p.request.id for p in first] == [0, 1, 2]
+            assert [p.request.id for p in second] == [3, 4]
+
+        asyncio.run(scenario())
+
+    def test_close_on_full_queue_still_ends_the_drain(self):
+        """close() cannot enqueue its sentinel into a full queue; the
+        drain must still end once the queue is empty instead of blocking
+        until shutdown's timeout cancels it."""
+
+        async def scenario():
+            batcher = MicroBatcher(queue_depth=4, max_batch=2)
+            for i in range(4):
+                assert batcher.try_submit(self._pending(i))
+            batcher.close()
+            assert not batcher.try_submit(self._pending(99))
+            drained = []
+            while True:
+                batch = await asyncio.wait_for(batcher.next_batch(), 0.1)
+                if batch is None:
+                    break
+                drained += [p.request.id for p in batch]
+            assert drained == [0, 1, 2, 3]
+
+        asyncio.run(scenario())
 
 
 class TestEndToEndSubprocess:
