@@ -17,7 +17,7 @@ handler code:
   construction).  Receiver-required keys are traced interprocedurally
   through calls the dispatch branch makes with the frame.
 * **RV204 verb-totality** — every verb in ``protocol.VERBS`` reaches a
-  handler comparison in service/router/worker code, and every verb
+  handler comparison in service/snapshot/router/worker code, and every verb
   compared in handler code exists in ``VERBS`` (dead branch otherwise).
 * **RV205 trace-echo** — every ``encode_response``/``encode_error``
   call site with a real request id passes ``trace=``; the protocol-v2
@@ -490,6 +490,7 @@ def _verbs_from_protocol(program: Program) -> set[str]:
 
 _HANDLER_MODULES = (
     "repro.server.service",
+    "repro.server.snapshot",
     "repro.shard.router",
     "repro.shard.worker",
 )
@@ -548,7 +549,7 @@ def _check_verbs(program: Program, out: list[Finding]) -> None:
             ast.Constant(value=verb, lineno=1, col_offset=0),
             "RV204",
             f"verb {verb!r} is in protocol.VERBS but no handler in "
-            "service/router/worker compares it; requests for it can only "
+            "service/snapshot/router/worker compares it; requests for it can only "
             "fall through to a generic error",
         )
     for verb, fn, node in comparisons:

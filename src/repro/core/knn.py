@@ -7,9 +7,10 @@ disk query (Section IV-E) already enumerates each object at most once,
 so kNN needs no extra deduplication machinery.
 
 Algorithm: start from a radius estimated from the average object density
-(so the first probe already lands near k results), run the class-based
+(so the first probe already lands near k results; for a point outside
+the domain, added to its distance from the domain), run the class-based
 disk query, and double the radius until at least ``k`` objects are
-found; then compute exact MBR distances for the found set, take the
+found or the disk reaches the farthest domain corner; then compute exact MBR distances for the found set, take the
 k-th smallest, and — because objects may have been missed between the
 k-th distance and the probe circle only if the k-th distance exceeds the
 probe radius — run one final disk query at the k-th distance to close
@@ -65,14 +66,25 @@ def knn_query(
         return np.hypot(dx, dy)
 
     with trace_span("query.knn"):
-        domain = index.grid.domain
-        # Density-guided initial radius: expect ~k results in pi*r^2 * n/area.
-        density = n / max(domain.area, 1e-300)
-        radius = max(
-            math.sqrt(k / (math.pi * density)),
-            min(index.grid.tile_w, index.grid.tile_h) / 4.0,
+        dom = index.grid.domain
+        # Density-guided initial radius (expect ~k results in pi*r^2 *
+        # n/area), measured from the domain edge for an outside point.
+        density = n / max(dom.area, 1e-300)
+        gap = math.hypot(
+            max(dom.xl - cx, 0.0, cx - dom.xu), max(dom.yl - cy, 0.0, cy - dom.yu)
         )
-        max_radius = math.hypot(domain.width, domain.height) + 1e-9
+        # A disk reaching the farthest domain corner covers the domain.
+        max_radius = math.hypot(
+            max(cx - dom.xl, dom.xu - cx), max(cy - dom.yl, dom.yu - cy)
+        ) + 1e-9
+        radius = min(
+            gap
+            + max(
+                math.sqrt(k / (math.pi * density)),
+                min(index.grid.tile_w, index.grid.tile_h) / 4.0,
+            ),
+            max_radius,
+        )
 
         found = index.disk_query(DiskQuery(cx, cy, radius), stats)
         while found.shape[0] < k and radius < max_radius:
@@ -82,7 +94,9 @@ def knn_query(
         with trace_span("knn.rank"):
             d = dists(found)
             order = np.lexsort((found, d))
-            kth_dist = float(d[order[k - 1]])
+        # Fewer than k found at max_radius means deletes left fewer than
+        # k live objects, all of them in ``found``.
+        kth_dist = float(d[order[k - 1]]) if found.shape[0] >= k else 0.0
         if kth_dist > radius:
             # Close the boundary: everything within the k-th distance.
             found = index.disk_query(DiskQuery(cx, cy, kth_dist), stats)

@@ -368,6 +368,11 @@ class TwoLayerGrid:
         """
         return type(self)(self.grid)
 
+    def global_view(self) -> "TwoLayerGrid":
+        """This index seen over the whole grid — itself; a shard band's
+        view (:class:`~repro.shard.banded.BandedTwoLayerGrid`) unclamps."""
+        return self
+
     def _delta_tiles_in_range(
         self, ix0: int, ix1: int, iy0: int, iy1: int
     ) -> list[int]:

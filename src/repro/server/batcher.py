@@ -31,7 +31,7 @@ __all__ = ["MicroBatcher", "PendingRequest"]
 class PendingRequest:
     """One admitted request waiting for (batched) execution."""
 
-    __slots__ = ("request", "conn", "enqueued_at", "dequeued_at")
+    __slots__ = ("request", "conn", "enqueued_at", "dequeued_at", "answered")
 
     # `conn` is the service layer's _Connection; typed loosely to keep
     # the batcher importable without the service (no circular import).
@@ -48,6 +48,8 @@ class PendingRequest:
         #: ``exec_start - dequeued_at`` the dequeue-to-execute gap of a
         #: trace (reported as its ``coalesce_ms`` phase).
         self.dequeued_at = self.enqueued_at
+        #: set once the service has sent (or staged) the response.
+        self.answered = False
 
 
 class MicroBatcher:

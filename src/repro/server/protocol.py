@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from repro.errors import ProtocolError
 
 __all__ = [
+    "DATA_VERBS",
     "ERROR_CODES",
     "MAX_TRACE_LEN",
     "PROTOCOL_VERSION",
@@ -153,6 +154,11 @@ _EXPLAIN_KINDS = {
 
 #: verbs that mutate the collection (routed to the serialised writer).
 WRITE_VERBS = frozenset({"insert", "delete"})
+
+#: verbs answered by the index (:meth:`repro.server.snapshot.Snapshot
+#: .evaluate`, in process or on shard workers); every other read verb is
+#: answered from the serving process's own state.
+DATA_VERBS = frozenset({"window", "count", "disk", "knn"})
 
 
 @dataclass(frozen=True)

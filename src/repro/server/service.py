@@ -10,12 +10,15 @@ Data flow::
                             write-timeout bounded)
 
 Reads are admitted into the bounded :class:`MicroBatcher` queue and
-executed in micro-batches against one :class:`Snapshot`; ``insert`` /
-``delete`` are serialised onto a single writer task that publishes new
-snapshots atomically.  Every stage records into a ``server.*`` metrics
-namespace on a :class:`MetricsRegistry` (exposed over the wire by the
-``stats`` verb) and runs under tracing spans, so a profiling session
-sees the server the way it sees the in-process engine.
+executed in micro-batches against one :class:`Snapshot`: local verbs
+answer from the service's own state, data verbs go through one
+:meth:`Snapshot.evaluate` call per batch.  ``insert`` / ``delete`` are
+serialised onto a single writer task that publishes new snapshots
+atomically through :meth:`SnapshotStore.apply`.  Every stage records
+into a ``server.*`` metrics namespace on a :class:`MetricsRegistry`
+(exposed over the wire by the ``stats`` verb) and runs under tracing
+spans, so a profiling session sees the server the way it sees the
+in-process engine.
 
 Overload never blocks the event loop: full queues answer ``overloaded``
 with a retry-after hint, slow consumers are disconnected by the
@@ -36,14 +39,13 @@ from repro.datasets.dataset import RectDataset
 from repro.datasets.queries import DiskQuery
 from repro.errors import InvalidQueryError, ProtocolError, ReproError
 from repro.geometry.mbr import Rect
-from repro.core.batch import evaluate_disk_tiles_based, evaluate_tiles_based
-from repro.core.knn import knn_query
 from repro.core.two_layer import TwoLayerGrid
 from repro.obs import tracing as _tracing
 from repro.obs.live import LiveTelemetry
 from repro.obs.metrics import MetricsRegistry
 from repro.server.batcher import MicroBatcher, PendingRequest
 from repro.server.protocol import (
+    DATA_VERBS,
     PROTOCOL_VERSION,
     VERBS,
     WRITE_VERBS,
@@ -52,7 +54,7 @@ from repro.server.protocol import (
     encode_error,
     encode_response,
 )
-from repro.server.snapshot import Snapshot, SnapshotStore
+from repro.server.snapshot import Snapshot, SnapshotStore, error_outcome
 
 __all__ = ["ServerConfig", "SpatialQueryService"]
 
@@ -213,21 +215,14 @@ class _BatchCtx:
     per-request hot-path cost stays a few float reads.
     """
 
-    __slots__ = ("t_exec", "pin_ms", "kernel_ms", "snapshot", "batch_size", "stats")
+    __slots__ = ("t_exec", "pin_ms", "kernel_ms", "stats")
 
-    def __init__(
-        self,
-        t_exec: float,
-        pin_ms: float,
-        snapshot: int,
-        batch_size: int,
-        stats,
-    ):
+    def __init__(self, t_exec: float, pin_ms: float, stats):
         self.t_exec = t_exec
         self.pin_ms = pin_ms
-        self.kernel_ms = 0.0  # set by each execution group before responding
-        self.snapshot = snapshot
-        self.batch_size = batch_size
+        # Wall time of the batch's one Snapshot.evaluate call, set before
+        # its data verbs respond (a local verb sets its own handler's).
+        self.kernel_ms = 0.0
         self.stats = stats  # HeatStats on sampled batches, else None
 
 
@@ -476,6 +471,36 @@ class SpatialQueryService:
             self._execute_batch(batch)
 
     def _execute_batch(self, batch: "list[PendingRequest]") -> None:
+        # Responses are aggregated per connection and flushed as one
+        # write per connection after the batch — clients multiplexing
+        # several in-flight requests over one connection get all their
+        # answers in a single frame burst (and the kernel one syscall).
+        out: dict[_Connection, list[bytes]] = {}
+        with _tracing.activate(self.tracer), _tracing.span("server.batch"):
+            snap, meta, bctx, reads = self._begin_batch(batch, out)
+            if reads:
+                t0 = time.perf_counter()
+                outcomes = snap.evaluate(
+                    [(p.request.verb, p.request.args) for p in reads],
+                    None if bctx is None else bctx.stats,
+                )
+                if bctx is not None:
+                    bctx.kernel_ms = (time.perf_counter() - t0) * 1e3
+                for pending, outcome in zip(reads, outcomes):
+                    self._answer(pending, outcome, meta, out, bctx)
+        self._flush(out)
+
+    def _begin_batch(
+        self,
+        batch: "list[PendingRequest]",
+        out: "dict[_Connection, list[bytes]]",
+    ) -> "tuple[Snapshot, dict, _BatchCtx | None, list[PendingRequest]]":
+        """Pin one snapshot for ``batch`` and answer its local verbs.
+
+        Returns ``(snapshot, response meta, telemetry ctx, data-verb
+        requests)``; the data verbs are left to the caller, which
+        evaluates them in process or scatters them to shard workers.
+        """
         t_exec = time.perf_counter()
         self._m_queue_depth.set(self.batcher.depth())
         self._m_batch_size.observe(len(batch))
@@ -489,175 +514,54 @@ class SpatialQueryService:
                 if self._heat_tick % self.config.heat_sample == 0
                 else None
             )
-            bctx = _BatchCtx(t_exec, pin_ms, snap.version, len(batch), stats)
+            bctx = _BatchCtx(t_exec, pin_ms, stats)
         meta = {"snapshot": snap.version, "batch_size": len(batch)}
-        # Responses are aggregated per connection and flushed as one
-        # write per connection after the batch — clients multiplexing
-        # several in-flight requests over one connection get all their
-        # answers in a single frame burst (and the kernel one syscall).
-        out: dict[_Connection, list[bytes]] = {}
-
-        window_group: list[tuple[PendingRequest, Rect, bool]] = []
-        disk_group: list[tuple[PendingRequest, DiskQuery]] = []
-        singles: list[PendingRequest] = []
+        reads: list[PendingRequest] = []
         for pending in batch:
             req = pending.request
+            if req.verb in DATA_VERBS:
+                reads.append(pending)
+                continue
+            t0 = time.perf_counter()
             try:
-                if req.verb == "count" or (
-                    req.verb == "window"
-                    and req.args["predicate"] == "intersects"
-                ):
-                    window_group.append((pending, Rect(**{
-                        k: req.args[k] for k in ("xl", "yl", "xu", "yu")
-                    }), req.verb == "count"))
-                elif req.verb == "disk":
-                    disk_group.append(
-                        (pending, DiskQuery(
-                            req.args["cx"], req.args["cy"], req.args["radius"]
-                        ))
-                    )
-                else:
-                    singles.append(pending)
-            except ReproError as exc:
-                self._respond(
-                    pending,
-                    encode_error(
-                        req.id, "invalid_query", str(exc), trace=req.trace
-                    ),
-                    out,
-                )
+                with _tracing.span(f"server.{req.verb}"):
+                    outcome = {"ok": True, "result": self._run_verb(snap, req)}
+            except Exception as exc:
+                outcome = error_outcome(exc)
+            if bctx is not None:
+                bctx.kernel_ms = (time.perf_counter() - t0) * 1e3
+            self._answer(pending, outcome, meta, out, bctx)
+        return snap, meta, bctx, reads
 
-        with _tracing.activate(self.tracer):
-            with _tracing.span("server.batch"):
-                if window_group:
-                    self._run_window_group(snap, window_group, meta, out, bctx)
-                if disk_group:
-                    self._run_disk_group(snap, disk_group, meta, out, bctx)
-                for pending in singles:
-                    t0 = time.perf_counter()
-                    result, err = self._execute_single(
-                        snap,
-                        pending.request,
-                        None if bctx is None else bctx.stats,
-                    )
-                    if bctx is not None:
-                        bctx.kernel_ms = (time.perf_counter() - t0) * 1e3
-                    if err is not None:
-                        self._respond(pending, err, out)
-                    else:
-                        self._deliver(pending, result, meta, out, bctx)
+    def _answer(
+        self,
+        pending: PendingRequest,
+        outcome: dict,
+        meta: dict,
+        out: "dict[_Connection, list[bytes]]",
+        bctx: "_BatchCtx | None",
+    ) -> None:
+        """Respond with one evaluation outcome (see :meth:`Snapshot.evaluate`)."""
+        if outcome["ok"]:
+            self._deliver(pending, outcome["result"], meta, out, bctx)
+            return
+        req = pending.request
+        err = outcome["error"]
+        if err["code"] == "internal":
+            self.registry.counter("server.errors.internal").inc()
+        self._respond(
+            pending,
+            encode_error(req.id, err["code"], err["message"], trace=req.trace),
+            out,
+        )
 
+    @staticmethod
+    def _flush(out: "dict[_Connection, list[bytes]]") -> None:
         for conn, frames in out.items():
             conn.send(frames[0] if len(frames) == 1 else b"".join(frames))
 
-    def _run_window_group(
-        self,
-        snap: Snapshot,
-        group: "list[tuple[PendingRequest, Rect, bool]]",
-        meta: dict,
-        out: "dict[_Connection, list[bytes]]",
-        bctx: "_BatchCtx | None",
-    ) -> None:
-        """Window-intersects and count queries share one tiles-based
-        evaluation; count responses just skip materialising the ids."""
-        windows = [w for _, w, _ in group]
-        try:
-            t0 = time.perf_counter()
-            with _tracing.span("server.window"):
-                results = evaluate_tiles_based(
-                    snap.index,
-                    windows,
-                    None if bctx is None else bctx.stats,
-                )
-        except Exception as exc:  # pragma: no cover - engine invariant
-            for pending, _, _ in group:
-                self._respond(
-                    pending,
-                    encode_error(
-                        pending.request.id,
-                        "internal",
-                        repr(exc),
-                        trace=pending.request.trace,
-                    ),
-                    out,
-                )
-            return
-        if bctx is not None:
-            # One fused evaluation serves the whole group; its duration
-            # is each member's kernel phase (meta carries batch_size).
-            bctx.kernel_ms = (time.perf_counter() - t0) * 1e3
-        for (pending, _, count_only), ids in zip(group, results):
-            if count_only:
-                result = {"count": int(ids.shape[0])}
-            else:
-                result = {"ids": ids.tolist(), "count": int(ids.shape[0])}
-            self._deliver(pending, result, meta, out, bctx)
-
-    def _run_disk_group(
-        self,
-        snap: Snapshot,
-        group: "list[tuple[PendingRequest, DiskQuery]]",
-        meta: dict,
-        out: "dict[_Connection, list[bytes]]",
-        bctx: "_BatchCtx | None",
-    ) -> None:
-        queries = [q for _, q in group]
-        try:
-            t0 = time.perf_counter()
-            with _tracing.span("server.disk"):
-                results = evaluate_disk_tiles_based(
-                    snap.index,
-                    queries,
-                    None if bctx is None else bctx.stats,
-                )
-        except Exception as exc:  # pragma: no cover - engine invariant
-            for pending, _ in group:
-                self._respond(
-                    pending,
-                    encode_error(
-                        pending.request.id,
-                        "internal",
-                        repr(exc),
-                        trace=pending.request.trace,
-                    ),
-                    out,
-                )
-            return
-        if bctx is not None:
-            bctx.kernel_ms = (time.perf_counter() - t0) * 1e3
-        for (pending, _), ids in zip(group, results):
-            self._deliver(
-                pending,
-                {"ids": ids.tolist(), "count": int(ids.shape[0])},
-                meta,
-                out,
-                bctx,
-            )
-
-    def _execute_single(
-        self, snap: Snapshot, req: Request, stats=None
-    ) -> "tuple[dict | None, bytes | None]":
-        """Run one unbatched verb; returns ``(result, None)`` on success
-        or ``(None, encoded error frame)`` on failure."""
-        try:
-            with _tracing.span(f"server.{req.verb}"):
-                return self._run_verb(snap, req, stats), None
-        except (InvalidQueryError, ProtocolError) as exc:
-            return None, encode_error(
-                req.id, "invalid_query", str(exc), trace=req.trace
-            )
-        except ReproError as exc:
-            self.registry.counter("server.errors.internal").inc()
-            return None, encode_error(
-                req.id, "internal", str(exc), trace=req.trace
-            )
-        except Exception as exc:  # pragma: no cover - defensive
-            self.registry.counter("server.errors.internal").inc()
-            return None, encode_error(
-                req.id, "internal", repr(exc), trace=req.trace
-            )
-
-    def _run_verb(self, snap: Snapshot, req: Request, stats=None):
+    def _run_verb(self, snap: Snapshot, req: Request):
+        """Answer one local (non-data, non-write) verb."""
         args = req.args
         index, data = snap.index, snap.data
         if req.verb == "ping":
@@ -666,19 +570,6 @@ class SpatialQueryService:
                 "protocol": PROTOCOL_VERSION,
                 "snapshot": snap.version,
             }
-        if req.verb == "window":
-            # only predicate="within" lands here; intersects is batched
-            window = Rect(args["xl"], args["yl"], args["xu"], args["yu"])
-            ids = index.window_query_within(window, stats)
-            return {"ids": ids.tolist(), "count": int(ids.shape[0])}
-        if req.verb == "knn":
-            ids = knn_query(
-                index, data, args["cx"], args["cy"], args["k"], stats=stats
-            )
-            return {"ids": ids.tolist(), "count": int(ids.shape[0])}
-        if req.verb == "count":
-            window = Rect(args["xl"], args["yl"], args["xu"], args["yu"])
-            return {"count": int(index.count_window(window))}
         if req.verb == "describe":
             avg_w, avg_h = data.average_extents() if len(data) else (0.0, 0.0)
             return {
@@ -807,22 +698,11 @@ class SpatialQueryService:
             if tel is not None:
                 trace_id = req.trace or f"t-{next(self._trace_seq):06x}"
             t0 = time.perf_counter()
+            shards = None
             try:
                 with _tracing.activate(self.tracer):
                     with _tracing.span(f"server.{req.verb}"):
-                        if req.verb == "insert":
-                            rect = Rect(
-                                req.args["xl"],
-                                req.args["yl"],
-                                req.args["xu"],
-                                req.args["yu"],
-                            )
-                            obj_id, version = self.store.insert(rect)
-                            result = {"id": obj_id, "snapshot": version}
-                        else:
-                            found, version = self.store.delete(req.args["id"])
-                            result = {"found": found, "snapshot": version}
-                payload = encode_response(req.id, result, trace=trace_id)
+                        result, version = self.store.apply(req.verb, req.args)
             except ReproError as exc:
                 payload = encode_error(
                     req.id, "invalid_query", str(exc), trace=trace_id
@@ -832,6 +712,9 @@ class SpatialQueryService:
                 payload = encode_error(
                     req.id, "internal", repr(exc), trace=trace_id
                 )
+            else:
+                payload = encode_response(req.id, result, trace=trace_id)
+                shards = await self._replicate(req.verb, req.args, version)
             record = None
             if tel is not None:
                 # Writes are rare: always retain their trace (the COW
@@ -850,11 +733,25 @@ class SpatialQueryService:
                         ),
                     },
                 }
+                if shards is not None:
+                    record["shards"] = shards
             self._respond(pending, payload, record=record)
+
+    async def _replicate(
+        self, verb: str, args: dict, version: int
+    ) -> "list[int] | None":
+        """Propagate one locally applied write; returns the shards that
+        hold it (``None``: no shards, the local store is the only copy)."""
+        return None
 
     # -- bookkeeping ------------------------------------------------------
 
-    def _phases(self, pending: PendingRequest, bctx: _BatchCtx) -> dict:
+    def _phases(
+        self,
+        pending: PendingRequest,
+        bctx: _BatchCtx,
+        extra_phases: "dict | None" = None,
+    ) -> dict:
         """Per-phase timing [ms] of one request, from batch scalars.
 
         ``refine_ms`` is structurally zero — serving is MBR-only, no
@@ -862,8 +759,10 @@ class SpatialQueryService:
         see the full phase taxonomy.  ``serialize_ms`` is patched onto
         retained records after the envelope encode (the wire envelope
         necessarily freezes before that measurement completes).
+        ``extra_phases`` (a scattered request's ``scatter_ms``, ``shard``
+        and shard-side ``kernel_ms``) are merged over the batch's.
         """
-        return {
+        phases = {
             "queue_ms": round(
                 (pending.dequeued_at - pending.enqueued_at) * 1e3, 3
             ),
@@ -874,24 +773,9 @@ class SpatialQueryService:
             "kernel_ms": round(bctx.kernel_ms, 3),
             "refine_ms": 0.0,
         }
-
-    def _make_record(
-        self,
-        pending: PendingRequest,
-        bctx: _BatchCtx,
-        trace_id: str,
-        phases: "dict | None" = None,
-    ) -> dict:
-        req = pending.request
-        return {
-            "trace": trace_id,
-            "id": req.id,
-            "verb": req.verb,
-            "args": req.args,
-            "snapshot": bctx.snapshot,
-            "batch_size": bctx.batch_size,
-            "phases": phases if phases is not None else self._phases(pending, bctx),
-        }
+        if extra_phases:
+            phases.update(extra_phases)
+        return phases
 
     def _deliver(
         self,
@@ -900,6 +784,7 @@ class SpatialQueryService:
         meta: dict,
         out: "dict[_Connection, list[bytes]]",
         bctx: "_BatchCtx | None",
+        extra_phases: "dict | None" = None,
     ) -> None:
         """Encode one success response and hand it to :meth:`_respond`.
 
@@ -908,10 +793,13 @@ class SpatialQueryService:
         additionally get the per-phase breakdown inline and are always
         retained in the trace ring; untraced requests stay lean on the
         hot path (phases are assembled only if the request turns out
-        slow or is ring-sampled, from the batch scalars).
+        slow or is ring-sampled, from the batch scalars).  A retained
+        record carries ``meta`` (snapshot, batch size and, scattered,
+        the shards).
         """
         req = pending.request
-        if bctx is None:
+        tel = self.telemetry
+        if bctx is None or tel is None:
             # Telemetry off: stay lean — no server-assigned ids — but a
             # client-supplied trace must still be echoed (RV205).
             self._respond(
@@ -921,9 +809,9 @@ class SpatialQueryService:
             )
             return
         trace_id = req.trace or f"t-{next(self._trace_seq):06x}"
-        record = None
+        phases = None
         if req.trace is not None:
-            phases = self._phases(pending, bctx)
+            phases = self._phases(pending, bctx, extra_phases)
             t0 = time.perf_counter()
             payload = encode_response(
                 req.id, result, {**meta, "phases": phases}, trace=trace_id
@@ -931,30 +819,40 @@ class SpatialQueryService:
             phases["serialize_ms"] = round(
                 (time.perf_counter() - t0) * 1e3, 3
             )
-            record = self._make_record(pending, bctx, trace_id, phases)
         else:
             payload = encode_response(req.id, result, meta, trace=trace_id)
-        self._respond(
-            pending, payload, out, bctx=bctx, trace_id=trace_id, record=record
-        )
+            self._trace_tick += 1
+            if (
+                self._trace_tick % self.config.trace_sample == 0
+                or (time.perf_counter() - pending.enqueued_at) * 1e3
+                >= tel.slowlog.threshold_ms
+            ):
+                phases = self._phases(pending, bctx, extra_phases)
+        record = None
+        if phases is not None:
+            record = {
+                "trace": trace_id,
+                "id": req.id,
+                "verb": req.verb,
+                "args": req.args,
+                **meta,
+                "phases": phases,
+            }
+        self._respond(pending, payload, out, record)
 
     def _respond(
         self,
         pending: PendingRequest,
         payload: bytes,
         out: "dict[_Connection, list[bytes]] | None" = None,
-        bctx: "_BatchCtx | None" = None,
-        trace_id: "str | None" = None,
         record: "dict | None" = None,
     ) -> None:
         """Account for one finished request and deliver its response.
 
         With ``out`` the frame is staged in the batch's per-connection
-        aggregation buffer (flushed by :meth:`_execute_batch` as one
-        write per connection); without it the frame is sent directly.
-        A non-``None`` ``record`` is finalised with the latency and
-        retained; otherwise slow or ring-sampled requests get a record
-        built here from the batch scalars.
+        aggregation buffer (flushed as one write per connection); without
+        it the frame is sent directly.  A non-``None`` ``record`` is
+        finalised with the latency and retained in the trace ring.
         """
         latency_ms = (time.perf_counter() - pending.enqueued_at) * 1e3
         verb = pending.request.verb
@@ -963,17 +861,6 @@ class SpatialQueryService:
         tel = self.telemetry
         if tel is not None:
             self._m_verb_latency[verb].observe(latency_ms)
-            if record is None and bctx is not None:
-                self._trace_tick += 1
-                if (
-                    latency_ms >= tel.slowlog.threshold_ms
-                    or self._trace_tick % self.config.trace_sample == 0
-                ):
-                    record = self._make_record(
-                        pending,
-                        bctx,
-                        trace_id or f"t-{next(self._trace_seq):06x}",
-                    )
             if record is not None:
                 record["latency_ms"] = round(latency_ms, 3)
                 tel.finish(record)
@@ -981,4 +868,5 @@ class SpatialQueryService:
             pending.conn.send(payload)
         else:
             out.setdefault(pending.conn, []).append(payload)
+        pending.answered = True
         self._in_flight -= 1

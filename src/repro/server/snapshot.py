@@ -2,7 +2,8 @@
 
 Readers grab :attr:`SnapshotStore.current` — an immutable
 :class:`Snapshot` of (index, data, version) — and evaluate whole batches
-against it without ever taking a lock.  Writers go through
+against it (:meth:`Snapshot.evaluate`) without ever taking a lock.
+Writers go through :meth:`SnapshotStore.apply`, i.e.
 :meth:`SnapshotStore.insert` / :meth:`SnapshotStore.delete`, which build
 a *new* index sharing every untouched tile with the old one (the tile
 dict is copied shallowly; only the secondary partitions the write lands
@@ -28,18 +29,68 @@ tables, so concurrent readers calling ``columns()`` perform pure reads.
 from __future__ import annotations
 
 import threading
+from typing import Any, Sequence
 
 import numpy as np
 
 from repro.analysis import sanitize as _sanitize
+from repro.core.batch import evaluate_disk_tiles_based, evaluate_tiles_based
+from repro.core.knn import knn_query
 from repro.datasets.dataset import RectDataset
-from repro.errors import IndexStateError, InvalidQueryError
+from repro.datasets.queries import DiskQuery
+from repro.errors import (
+    IndexStateError,
+    InvalidQueryError,
+    ProtocolError,
+    ReproError,
+)
 from repro.geometry.mbr import Rect
 from repro.grid.storage import TileTable
 from repro.core.two_layer import TwoLayerGrid
 from repro.core.two_layer_plus import TwoLayerPlusGrid
+from repro.obs import tracing as _tracing
+from repro.stats import QueryStats
 
-__all__ = ["Snapshot", "SnapshotStore"]
+__all__ = ["Snapshot", "SnapshotStore", "error_outcome", "parse_read"]
+
+
+def parse_read(verb: str, args: dict[str, Any]) -> "Rect | DiskQuery":
+    """The validated query object of one data verb.
+
+    Raises a :class:`~repro.errors.ReproError` on a semantically invalid
+    query (non-finite coordinates, an inverted window, a negative
+    radius, ``k < 1``).  A ``knn`` parses to its query point, as a
+    radius-0 disk.
+    """
+    if verb == "disk":
+        return DiskQuery(args["cx"], args["cy"], args["radius"])
+    if verb == "knn":
+        if args["k"] < 1:
+            raise InvalidQueryError(f"k must be >= 1, got {args['k']}")
+        return DiskQuery(args["cx"], args["cy"], 0.0)
+    return Rect(args["xl"], args["yl"], args["xu"], args["yu"])
+
+
+def _failure(code: str, message: str) -> dict[str, Any]:
+    return {"ok": False, "error": {"code": code, "message": message}}
+
+
+def error_outcome(exc: Exception) -> dict[str, Any]:
+    """The failed outcome of a request whose handler raised ``exc``: a
+    caller's mistake is ``invalid_query``, anything else ``internal``."""
+    if isinstance(exc, (InvalidQueryError, ProtocolError)):
+        return _failure("invalid_query", str(exc))
+    if isinstance(exc, ReproError):
+        return _failure("internal", str(exc))
+    return _failure("internal", repr(exc))
+
+
+def _ids_outcome(ids: np.ndarray, count_only: bool) -> dict[str, Any]:
+    n = int(ids.shape[0])
+    return {
+        "ok": True,
+        "result": {"count": n} if count_only else {"ids": ids.tolist(), "count": n},
+    }
 
 
 class Snapshot:
@@ -51,6 +102,78 @@ class Snapshot:
         self.index = index
         self.data = data
         self.version = version
+
+    def evaluate(
+        self,
+        reqs: Sequence[tuple[str, dict[str, Any]]],
+        stats: "QueryStats | None" = None,
+    ) -> list[dict[str, Any]]:
+        """Answer data-verb requests against this version.
+
+        ``reqs`` are ``(verb, args)`` pairs with protocol-validated args
+        (:data:`~repro.server.protocol.DATA_VERBS`).  Returns one outcome
+        per request, in order: ``{"ok": True, "result": ...}`` or
+        ``{"ok": False, "error": {"code", "message"}}``.  Intersects
+        windows and counts share one Section VI tiles-based sweep and
+        disks another; ``within`` windows and kNN run singly.  Every
+        serving tier runs this evaluator: the single-process service on
+        its snapshot, each shard worker on its band-clamped replica
+        (whose per-band answers concatenate into the global one).
+        """
+        out: list[Any] = [None] * len(reqs)
+        tiles: list[tuple[int, str, Any]] = []
+        disks: list[tuple[int, str, Any]] = []
+        singles: list[tuple[int, str, dict[str, Any], Any]] = []
+        for i, (verb, args) in enumerate(reqs):
+            try:
+                query = parse_read(verb, args)
+            except ReproError as exc:
+                out[i] = _failure("invalid_query", str(exc))
+                continue
+            if verb == "disk":
+                disks.append((i, verb, query))
+            elif verb == "knn" or (
+                verb == "window" and args.get("predicate") == "within"
+            ):
+                singles.append((i, verb, args, query))
+            else:
+                tiles.append((i, verb, query))
+        index = self.index
+        for name, kernel, group in (
+            ("server.window", evaluate_tiles_based, tiles),
+            ("server.disk", evaluate_disk_tiles_based, disks),
+        ):
+            if not group:
+                continue
+            try:
+                with _tracing.span(name):
+                    results = kernel(index, [q for _, _, q in group], stats)
+            except Exception as exc:
+                for i, _, _ in group:
+                    out[i] = error_outcome(exc)
+                continue
+            for (i, verb, _), ids in zip(group, results):
+                out[i] = _ids_outcome(ids, verb == "count")
+        for i, verb, args, query in singles:
+            try:
+                with _tracing.span(f"server.{verb}"):
+                    if verb == "knn":
+                        # the k-th distance bound is global: never banded
+                        ids = knn_query(
+                            index.global_view(),
+                            self.data,
+                            query.cx,
+                            query.cy,
+                            args["k"],
+                            stats=stats,
+                        )
+                    else:
+                        ids = index.window_query_within(query, stats)
+            except Exception as exc:
+                out[i] = error_outcome(exc)
+                continue
+            out[i] = _ids_outcome(ids, False)
+        return out
 
     def __repr__(self) -> str:
         return (
@@ -126,6 +249,20 @@ class SnapshotStore:
         return None
 
     # -- writes -----------------------------------------------------------
+
+    def apply(self, verb: str, args: dict[str, Any]) -> tuple[dict[str, Any], int]:
+        """Apply one protocol write; returns ``(result, published version)``.
+
+        The single place a wire ``insert``/``delete`` becomes a store
+        write: the service's writer and every shard replica go through
+        it, so replicas fed the same writes walk the same versions.
+        """
+        if verb == "insert":
+            rect = Rect(args["xl"], args["yl"], args["xu"], args["yu"])
+            obj_id, version = self.insert(rect)
+            return {"id": obj_id, "snapshot": version}, version
+        found, version = self.delete(args["id"])
+        return {"found": found, "snapshot": version}, version
 
     def insert(self, rect: Rect) -> tuple[int, int]:
         """Insert one MBR; returns ``(object id, published version)``.

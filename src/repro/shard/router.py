@@ -9,23 +9,26 @@ telemetry and drain machinery are inherited unchanged:
   ShardWorker process per band (``spawn`` context — no forked locks),
   and waits for each worker to dial back over a loopback rendezvous
   socket before accepting clients.
-* **reads**: each micro-batch is split into *local* verbs (ping,
-  describe, explain, stats and the admin verbs — answered from the
-  router's own full snapshot) and *scatter* verbs (window / count /
-  disk / knn).  Scatter requests are routed by tile footprint — the
-  band table answers "which shards own part of this range" in O(K) —
-  and coalesced into **one envelope per shard per batch**, stamped with
-  the router's snapshot epoch.  Workers answer at exactly that epoch,
-  so the merge (band-ordered concatenation — tile ownership partitions
-  the result space, see :mod:`repro.shard.banded`) never mixes
-  versions; a mismatched epoch in any sub-response fails the request
-  with a structured error instead of merging garbage.  kNN is sent
-  whole to the worker owning the query point's tile (any live worker
-  is equivalent — all hold full state).
-* **writes** go through the single inherited writer queue: the router
-  applies each write to its *local* store first (the source of truth
-  its own verbs serve from), then broadcasts it to every live worker
-  and verifies each ack reports the identical new version —
+* **reads**: each micro-batch goes through the parent's prologue —
+  one pinned snapshot, *local* verbs (ping, describe, explain, stats
+  and the admin verbs) answered from the router's own full snapshot —
+  and its data verbs (:data:`~repro.server.protocol.DATA_VERBS`) are
+  parsed by the same :func:`~repro.server.snapshot.parse_read` the
+  workers' evaluator uses, then routed by tile footprint — the band
+  table answers "which shards own part of this range" in O(K) — and
+  coalesced into **one envelope per shard per batch**, stamped with the
+  router's snapshot epoch.  Workers answer at exactly that epoch, so
+  the merge (band-ordered concatenation — tile ownership partitions the
+  result space, see :mod:`repro.shard.banded`) never mixes versions; a
+  mismatched epoch in any sub-response fails the request with a
+  structured error instead of merging garbage.  kNN is sent whole to
+  the worker owning the query point's tile (any live worker is
+  equivalent — all hold full state).  Merged answers leave through the
+  parent's ``_deliver`` with the ``scatter_ms``/``shard`` phases added.
+* **writes** go through the inherited writer: the router applies each
+  write to its *local* store first (the source of truth its own verbs
+  serve from), then its ``_replicate`` step broadcasts it to every live
+  worker and verifies each ack reports the identical new version —
   deterministic application means the per-shard epoch vector stays
   uniform without coordination; a worker that diverges or dies is
   marked dead and subsequent requests needing it get ``degraded``
@@ -48,25 +51,24 @@ import itertools
 import multiprocessing
 import os
 import time
+import traceback
 from typing import Any
 
 import numpy as np
 
 from repro.analysis import sanitize as _sanitize
 from repro.datasets.dataset import RectDataset
-from repro.datasets.queries import DiskQuery
 from repro.errors import IndexStateError, ParallelExecutionError, ReproError
-from repro.geometry.mbr import Rect
 from repro.obs import tracing as _tracing
 from repro.server.batcher import PendingRequest
-from repro.server.protocol import Request, encode_error, encode_response
+from repro.server.protocol import Request, encode_error
 from repro.server.service import (
     ServerConfig,
     SpatialQueryService,
     _BatchCtx,
     _Connection,
 )
-from repro.server.snapshot import Snapshot
+from repro.server.snapshot import Snapshot, error_outcome, parse_read
 from repro.shard.partition import (
     ShardBand,
     bands_for_range,
@@ -82,9 +84,6 @@ if False:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["ShardedQueryService"]
-
-#: verbs fanned out to shard workers; everything else answers locally.
-_SCATTER_VERBS = frozenset({"window", "count", "disk", "knn"})
 
 
 class _ShardLink:
@@ -188,24 +187,6 @@ class _ShardLink:
         except Exception:
             pass
         self.service._on_link_dead(self.shard)
-
-
-class _Scatter:
-    """One in-flight scattered request: its owner shards and merge mode."""
-
-    __slots__ = ("pending", "shards", "count_only", "footprint")
-
-    def __init__(
-        self,
-        pending: PendingRequest,
-        shards: list[int],
-        count_only: bool,
-        footprint: "tuple[int, int, int, int] | None",
-    ):
-        self.pending = pending
-        self.shards = shards
-        self.count_only = count_only
-        self.footprint = footprint
 
 
 class ShardedQueryService(SpatialQueryService):
@@ -436,35 +417,40 @@ class ShardedQueryService(SpatialQueryService):
             ],
         }
 
-    def _run_verb(self, snap: Snapshot, req: Request, stats=None):
-        result = super()._run_verb(snap, req, stats)
+    def _run_verb(self, snap: Snapshot, req: Request):
+        result = super()._run_verb(snap, req)
         if req.verb in ("stats", "describe"):
             result["shards"] = self.shard_status()
         return result
 
     # -- scatter-gather reads ---------------------------------------------
 
-    async def _batch_loop(self) -> None:
-        while True:
-            batch = await self.batcher.next_batch()
-            if batch is None:
-                if self._scatter_tasks:
-                    await asyncio.gather(
-                        *list(self._scatter_tasks), return_exceptions=True
-                    )
-                return
-            task = asyncio.ensure_future(self._execute_batch_sharded(batch))
+    def _execute_batch(self, batch: "list[PendingRequest]") -> None:
+        out: dict[_Connection, list[bytes]] = {}
+        with _tracing.activate(self.tracer), _tracing.span("server.batch"):
+            snap, meta, bctx, reads = self._begin_batch(batch, out)
+        # Local verbs answered — flush them now rather than holding them
+        # hostage to the worker round-trip.
+        self._flush(out)
+        if reads:
+            task = asyncio.ensure_future(self._scatter(snap, reads, meta, bctx))
             self._scatter_tasks.add(task)
             task.add_done_callback(self._scatter_tasks.discard)
 
-    def _route(self, req: Request) -> "tuple[list[int], tuple[int, int, int, int] | None]":
-        """Owner shards of one scatter verb (+ tile footprint for heat)."""
-        args = req.args
-        grid = self._grid
-        if req.verb == "knn":
-            tid = (
-                grid.tile_iy(args["cy"]) * grid.nx + grid.tile_ix(args["cx"])
+    async def _batch_loop(self) -> None:
+        await super()._batch_loop()
+        if self._scatter_tasks:
+            await asyncio.gather(
+                *list(self._scatter_tasks), return_exceptions=True
             )
+
+    def _route(
+        self, verb: str, query: Any
+    ) -> "tuple[list[int], tuple[int, int, int, int] | None]":
+        """Owner shards of one parsed data verb (+ tile footprint for heat)."""
+        grid = self._grid
+        if verb == "knn":
+            tid = grid.tile_iy(query.cy) * grid.nx + grid.tile_ix(query.cx)
             home = shard_for_tile(self.bands, tid)
             if self._live_link(home) is not None:
                 return [home], None
@@ -473,38 +459,40 @@ class ShardedQueryService(SpatialQueryService):
                 if self._live_link(k) is not None:
                     return [k], None
             return [home], None  # all dead: fails as degraded downstream
-        if req.verb == "disk":
-            window = DiskQuery(args["cx"], args["cy"], args["radius"]).mbr()
-        else:
-            window = Rect(args["xl"], args["yl"], args["xu"], args["yu"])
+        window = query.mbr() if verb == "disk" else query
         ix0, ix1, iy0, iy1 = grid.tile_range_for_window(window)
         shards = bands_for_range(self.bands, grid.nx, ix0, ix1, iy0, iy1)
         return shards, (ix0, ix1, iy0, iy1)
 
-    async def _execute_batch_sharded(
-        self, batch: "list[PendingRequest]"
+    async def _scatter(
+        self,
+        snap: Snapshot,
+        reads: "list[PendingRequest]",
+        meta: dict,
+        bctx: "_BatchCtx | None",
     ) -> None:
-        t_exec = time.perf_counter()
-        self._m_queue_depth.set(self.batcher.depth())
-        self._m_batch_size.observe(len(batch))
-        snap = self.store.current
-        epoch = snap.version
-        bctx: "_BatchCtx | None" = None
-        if self.telemetry is not None:
-            pin_ms = (time.perf_counter() - t_exec) * 1e3
-            self._heat_tick += 1
-            stats = (
-                self.telemetry.stats
-                if self._heat_tick % self.config.heat_sample == 0
-                else None
-            )
-            bctx = _BatchCtx(t_exec, pin_ms, epoch, len(batch), stats)
-        meta = {"snapshot": epoch, "batch_size": len(batch)}
         out: dict[_Connection, list[bytes]] = {}
-        per_shard, scatters = self._split_batch(snap, batch, out, bctx, meta)
-        # Local verbs answered — flush them now rather than holding them
-        # hostage to the worker round-trip.
+        try:
+            await self._scatter_gather(snap, reads, meta, out, bctx)
+        except Exception as exc:
+            # A failed scatter still answers every request it holds: an
+            # unanswered one would hang its client and the drain.
+            traceback.print_exc()
+            for pending in reads:
+                if not pending.answered:
+                    self._answer(pending, error_outcome(exc), meta, out, bctx)
         self._flush(out)
+
+    async def _scatter_gather(
+        self,
+        snap: Snapshot,
+        reads: "list[PendingRequest]",
+        meta: dict,
+        out: "dict[_Connection, list[bytes]]",
+        bctx: "_BatchCtx | None",
+    ) -> None:
+        epoch = snap.version
+        per_shard, scatters = self._split(reads, out, bctx)
         if not scatters:
             return
         t_scatter = time.perf_counter()
@@ -535,91 +523,66 @@ class ShardedQueryService(SpatialQueryService):
         for k, fut in futs.items():
             frames[k] = fut.result() if fut.exception() is None else None
         scatter_ms = (time.perf_counter() - t_scatter) * 1e3
-        out2: dict[_Connection, list[bytes]] = {}
-        self._merge(snap, scatters, frames, epoch, meta, out2, bctx, scatter_ms)
-        self._flush(out2)
+        self._merge(snap, scatters, frames, meta, out, bctx, scatter_ms)
 
-    def _flush(self, out: "dict[_Connection, list[bytes]]") -> None:
-        for conn, payloads in out.items():
-            conn.send(payloads[0] if len(payloads) == 1 else b"".join(payloads))
-
-    def _split_batch(
+    def _split(
         self,
-        snap: Snapshot,
-        batch: "list[PendingRequest]",
+        reads: "list[PendingRequest]",
         out: "dict[_Connection, list[bytes]]",
         bctx: "_BatchCtx | None",
-        meta: dict,
     ) -> tuple[
-        "dict[int, list[dict[str, Any]]]", "dict[int, _Scatter]"
+        "dict[int, list[dict[str, Any]]]",
+        "dict[int, tuple[PendingRequest, list[int], Any]]",
     ]:
-        """Answer local verbs inline; build per-shard scatter envelopes."""
+        """Parse and route data verbs into per-shard scatter envelopes.
+
+        Routing sees only queries :func:`parse_read` validated; invalid
+        ones and those owned by a dead shard are answered here.
+        """
         per_shard: dict[int, list[dict[str, Any]]] = {}
-        scatters: dict[int, _Scatter] = {}
-        with _tracing.activate(self.tracer):
-            with _tracing.span("server.batch"):
-                for pending in batch:
-                    req = pending.request
-                    if req.verb not in _SCATTER_VERBS:
-                        t0 = time.perf_counter()
-                        result, err = self._execute_single(
-                            snap, req, None if bctx is None else bctx.stats
-                        )
-                        if bctx is not None:
-                            bctx.kernel_ms = (time.perf_counter() - t0) * 1e3
-                        if err is not None:
-                            self._respond(pending, err, out)
-                        else:
-                            self._deliver(pending, result, meta, out, bctx)
-                        continue
-                    try:
-                        shards, footprint = self._route(req)
-                    except ReproError as exc:
-                        self._respond(
-                            pending,
-                            encode_error(
-                                req.id,
-                                "invalid_query",
-                                str(exc),
-                                trace=req.trace,
-                            ),
-                            out,
-                        )
-                        continue
-                    dead = [
-                        k for k in shards if self._live_link(k) is None
-                    ]
-                    if dead:
-                        self._m_degraded.inc()
-                        self._respond(
-                            pending,
-                            encode_error(
-                                req.id,
-                                "degraded",
-                                f"shard(s) {dead} unavailable for "
-                                f"{req.verb}{self._death_note(dead[0])}; "
-                                "partial results withheld",
-                                trace=req.trace,
-                            ),
-                            out,
-                        )
-                        continue
-                    rid = next(self._rid_seq)
-                    scatters[rid] = _Scatter(
-                        pending, shards, req.verb == "count", footprint
-                    )
-                    env = {
-                        "id": rid,
-                        "verb": req.verb,
-                        "args": req.args,
-                        "trace": req.trace,
-                    }
-                    for k in shards:
-                        per_shard.setdefault(k, []).append(env)
-                if bctx is not None and bctx.stats is not None:
-                    for sc in scatters.values():
-                        if sc.footprint is not None:
-                            self._record_footprint(sc.footprint)
+        scatters: dict[int, tuple[PendingRequest, list[int], Any]] = {}
+        for pending in reads:
+            req = pending.request
+            try:
+                query = parse_read(req.verb, req.args)
+            except ReproError as exc:
+                self._respond(
+                    pending,
+                    encode_error(
+                        req.id, "invalid_query", str(exc), trace=req.trace
+                    ),
+                    out,
+                )
+                continue
+            shards, footprint = self._route(req.verb, query)
+            dead = [k for k in shards if self._live_link(k) is None]
+            if dead:
+                self._m_degraded.inc()
+                self._respond(
+                    pending,
+                    encode_error(
+                        req.id,
+                        "degraded",
+                        f"shard(s) {dead} unavailable for "
+                        f"{req.verb}{self._death_note(dead[0])}; "
+                        "partial results withheld",
+                        trace=req.trace,
+                    ),
+                    out,
+                )
+                continue
+            rid = next(self._rid_seq)
+            scatters[rid] = (pending, shards, query)
+            env = {
+                "id": rid,
+                "verb": req.verb,
+                "args": req.args,
+                "trace": req.trace,
+            }
+            for k in shards:
+                per_shard.setdefault(k, []).append(env)
+            if footprint is not None and bctx is not None and bctx.stats is not None:
+                self._record_footprint(footprint)
         return per_shard, scatters
 
     def _record_footprint(self, footprint: tuple[int, int, int, int]) -> None:
@@ -642,25 +605,25 @@ class ShardedQueryService(SpatialQueryService):
     def _merge(
         self,
         snap: Snapshot,
-        scatters: "dict[int, _Scatter]",
+        scatters: "dict[int, tuple[PendingRequest, list[int], Any]]",
         frames: "dict[int, dict[str, Any] | None]",
-        epoch: int,
         meta: dict,
         out: "dict[_Connection, list[bytes]]",
         bctx: "_BatchCtx | None",
         scatter_ms: float,
     ) -> None:
         """Band-ordered merge of worker sub-results, one epoch, no dedup."""
+        epoch = snap.version
         by_id: dict[int, dict[int, dict[str, Any]]] = {}
         for k, frame in frames.items():
             if frame is not None:
                 by_id[k] = {r["id"]: r for r in frame["results"]}
-        for rid, sc in scatters.items():
-            req = sc.pending.request
+        for rid, (pending, shards, query) in scatters.items():
+            req = pending.request
             subs: list[dict[str, Any]] = []
             failure: "tuple[str, str] | None" = None
             kernel_ms = 0.0
-            for k in sc.shards:
+            for k in shards:
                 frame = frames.get(k)
                 if frame is None:
                     failure = (
@@ -696,12 +659,12 @@ class ShardedQueryService(SpatialQueryService):
                 if failure[0] == "degraded":
                     self._m_degraded.inc()
                 self._respond(
-                    sc.pending,
+                    pending,
                     encode_error(req.id, failure[0], failure[1], trace=req.trace),
                     out,
                 )
                 continue
-            if sc.count_only:
+            if req.verb == "count":
                 result: dict[str, Any] = {
                     "count": sum(s["count"] for s in subs)
                 }
@@ -713,33 +676,34 @@ class ShardedQueryService(SpatialQueryService):
                     ids.extend(s["ids"])
                 result = {"ids": ids, "count": len(ids)}
                 if _sanitize.enabled():
-                    self._sanitize_merge(snap, req, result["ids"])
-            self._deliver_remote(
-                sc.pending, result, meta, out, bctx, sc.shards,
-                kernel_ms, scatter_ms,
+                    self._sanitize_merge(snap, req, query, result["ids"])
+            self._deliver(
+                pending,
+                result,
+                {**meta, "shards": shards},
+                out,
+                bctx,
+                {
+                    "scatter_ms": round(scatter_ms, 3),
+                    "kernel_ms": round(kernel_ms, 3),
+                    "shard": shards[0] if len(shards) == 1 else shards,
+                },
             )
 
     def _sanitize_merge(
-        self, snap: Snapshot, req: Request, merged_ids: list[int]
+        self, snap: Snapshot, req: Request, query: Any, merged_ids: list[int]
     ) -> None:
         """REPRO_SANITIZE: sampled cross-check of a merged scatter result
         against a local evaluation on the same pinned snapshot."""
         self._sanitize_tick += 1
         if self._sanitize_tick % _sanitize._sample_every() != 0:
             return
-        args = req.args
         if req.verb == "disk":
-            ref = snap.index.disk_query(
-                DiskQuery(args["cx"], args["cy"], args["radius"])
-            )
-        elif req.verb == "window" and args.get("predicate") == "within":
-            ref = snap.index.window_query_within(
-                Rect(args["xl"], args["yl"], args["xu"], args["yu"])
-            )
+            ref = snap.index.disk_query(query)
+        elif req.args.get("predicate") == "within":
+            ref = snap.index.window_query_within(query)
         else:
-            ref = snap.index.window_query(
-                Rect(args["xl"], args["yl"], args["xu"], args["yu"])
-            )
+            ref = snap.index.window_query(query)
         got = sorted(merged_ids)
         want = sorted(int(i) for i in ref)
         if got != want:
@@ -753,129 +717,13 @@ class ShardedQueryService(SpatialQueryService):
                 },
             )
 
-    def _deliver_remote(
-        self,
-        pending: PendingRequest,
-        result: dict,
-        meta: dict,
-        out: "dict[_Connection, list[bytes]]",
-        bctx: "_BatchCtx | None",
-        shards: list[int],
-        kernel_ms: float,
-        scatter_ms: float,
-    ) -> None:
-        """Scattered-request twin of the parent's ``_deliver``: same trace
-        retention rules, phases gain ``scatter_ms`` + the ``shard`` hop."""
-        req = pending.request
-        rmeta = {**meta, "shards": shards}
-        if bctx is None:
-            # Telemetry off: stay lean — no server-assigned ids — but a
-            # client-supplied trace must still be echoed (RV205).
-            self._respond(
-                pending,
-                encode_response(req.id, result, rmeta, trace=req.trace),
-                out,
-            )
-            return
-        trace_id = req.trace or f"t-{next(self._trace_seq):06x}"
-        phases = {
-            "queue_ms": round(
-                (pending.dequeued_at - pending.enqueued_at) * 1e3, 3
-            ),
-            "coalesce_ms": round((bctx.t_exec - pending.dequeued_at) * 1e3, 3),
-            "snapshot_pin_ms": round(bctx.pin_ms, 4),
-            "scatter_ms": round(scatter_ms, 3),
-            "kernel_ms": round(kernel_ms, 3),
-            "refine_ms": 0.0,
-            "shard": shards[0] if len(shards) == 1 else shards,
-        }
-        record = None
-        if req.trace is not None:
-            t0 = time.perf_counter()
-            payload = encode_response(
-                req.id, result, {**rmeta, "phases": phases}, trace=trace_id
-            )
-            phases["serialize_ms"] = round((time.perf_counter() - t0) * 1e3, 3)
-            record = self._make_record(pending, bctx, trace_id, phases)
-            record["shards"] = shards
-        else:
-            payload = encode_response(req.id, result, rmeta, trace=trace_id)
-            if self.telemetry is not None:
-                self._trace_tick += 1
-                latency_ms = (time.perf_counter() - pending.enqueued_at) * 1e3
-                if (
-                    latency_ms >= self.telemetry.slowlog.threshold_ms
-                    or self._trace_tick % self.config.trace_sample == 0
-                ):
-                    record = self._make_record(pending, bctx, trace_id, phases)
-                    record["shards"] = shards
-        self._respond(
-            pending, payload, out, bctx=None, trace_id=trace_id, record=record
-        )
-
     # -- writes ------------------------------------------------------------
 
-    async def _writer_loop(self) -> None:
-        while True:
-            pending = await self._write_q.get()
-            if pending is None:
-                return
-            await self._apply_write_sharded(pending)
-
-    async def _apply_write_sharded(self, pending: PendingRequest) -> None:
-        req = pending.request
-        tel = self.telemetry
-        trace_id = None
-        if tel is not None:
-            trace_id = req.trace or f"t-{next(self._trace_seq):06x}"
-        t0 = time.perf_counter()
-        result = None
-        version = None
-        try:
-            with _tracing.activate(self.tracer):
-                with _tracing.span(f"server.{req.verb}"):
-                    if req.verb == "insert":
-                        rect = Rect(
-                            req.args["xl"],
-                            req.args["yl"],
-                            req.args["xu"],
-                            req.args["yu"],
-                        )
-                        obj_id, version = self.store.insert(rect)
-                        result = {"id": obj_id, "snapshot": version}
-                    else:
-                        found, version = self.store.delete(req.args["id"])
-                        result = {"found": found, "snapshot": version}
-            payload = encode_response(req.id, result, trace=trace_id)
-        except ReproError as exc:
-            payload = encode_error(
-                req.id, "invalid_query", str(exc), trace=trace_id
-            )
-        except Exception as exc:  # pragma: no cover - defensive
-            self.registry.counter("server.errors.internal").inc()
-            payload = encode_error(req.id, "internal", repr(exc), trace=trace_id)
-        if result is not None:
-            # Local apply succeeded: broadcast to every live replica and
-            # verify the deterministic-replication contract (identical
-            # version on every ack).
-            await self._broadcast_write(req.verb, req.args, version)
-        record = None
-        if tel is not None:
-            record = {
-                "trace": trace_id,
-                "id": req.id,
-                "verb": req.verb,
-                "args": req.args,
-                "shards": [
-                    k for k in range(self.shards)
-                    if self._live_link(k) is not None
-                ],
-                "phases": {
-                    "queue_ms": round((t0 - pending.enqueued_at) * 1e3, 3),
-                    "kernel_ms": round((time.perf_counter() - t0) * 1e3, 3),
-                },
-            }
-        self._respond(pending, payload, record=record)
+    async def _replicate(
+        self, verb: str, args: dict[str, Any], version: int
+    ) -> list[int]:
+        await self._broadcast_write(verb, args, version)
+        return [k for k in range(self.shards) if self._live_link(k) is not None]
 
     async def _broadcast_write(
         self, verb: str, args: dict[str, Any], version: int

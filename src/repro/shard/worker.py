@@ -9,21 +9,24 @@ and serves a strictly sequential asyncio loop over a single TCP
 connection back to the router:
 
 * **reads** arrive as one ``batch`` envelope per micro-batch, stamped
-  with the router's snapshot epoch.  The worker executes against its
-  replica of exactly that version (it keeps a ring of recent
-  snapshots); a batch stamped *ahead* of the replica (the write that
-  produced it is still in flight) is parked and drained as soon as the
-  write lands — never executed against an older version, so
+  with the router's snapshot epoch.  The worker runs the single-process
+  server's evaluator (:meth:`~repro.server.snapshot.Snapshot.evaluate`)
+  against its replica of exactly that version (it keeps a ring of
+  recent snapshots); a batch stamped *ahead* of the replica (the write
+  that produced it is still in flight) is parked and drained as soon as
+  the write lands — never executed against an older version, so
   scatter-gather merges are cut at one consistent epoch.  A parked
   batch whose write never arrives fails with a structured error at
   ``stale_after_s`` (the router turns that into a degraded response —
   no hangs).
 * **writes** are broadcast by the router to every worker and applied
-  inline in arrival order.  Application is deterministic (object ids
-  assigned from a counter, delete-misses don't bump the version), so
-  every replica independently produces the identical version sequence
-  the router's own local store produces — the cross-shard "epoch
-  vector" stays uniform without any coordination.
+  inline in arrival order through the router's own write path
+  (:meth:`~repro.server.snapshot.SnapshotStore.apply`).  Application is
+  deterministic (object ids assigned from a counter, delete-misses
+  don't bump the version), so every replica independently produces the
+  identical version sequence the router's own local store produces —
+  the cross-shard "epoch vector" stays uniform without any
+  coordination.
 
 The worker needs no metrics, no telemetry and no public protocol: the
 router owns the client edge and already validated every request.  Exit
@@ -40,11 +43,8 @@ import time
 from typing import Any
 
 from repro.analysis import sanitize as _sanitize
-from repro.core.batch import evaluate_disk_tiles_based, evaluate_tiles_based
-from repro.core.knn import knn_query
 from repro.datasets.dataset import RectDataset
-from repro.datasets.queries import DiskQuery
-from repro.errors import InvalidQueryError, ReproError
+from repro.errors import ReproError
 from repro.geometry.mbr import Rect
 from repro.grid.base import GridPartitioner
 from repro.grid.storage import PackedStore
@@ -146,116 +146,23 @@ class _WorkerLoop:
 
     def _run_batch(self, snap: Snapshot, frame: dict[str, Any]) -> dict[str, Any]:
         t0 = time.perf_counter()
-        results: list[dict[str, Any]] = []
-        windows: list[Rect] = []
-        wmeta: list[tuple[int, bool]] = []
-        disks: list[DiskQuery] = []
-        dmeta: list[int] = []
-        singles: list[dict[str, Any]] = []
-        for r in frame["reqs"]:
-            verb = r["verb"]
-            args = r["args"]
-            try:
-                if verb == "count" or (
-                    verb == "window" and args.get("predicate") == "intersects"
-                ):
-                    windows.append(
-                        Rect(args["xl"], args["yl"], args["xu"], args["yu"])
-                    )
-                    wmeta.append((r["id"], verb == "count"))
-                elif verb == "disk":
-                    disks.append(
-                        DiskQuery(args["cx"], args["cy"], args["radius"])
-                    )
-                    dmeta.append(r["id"])
-                else:
-                    singles.append(r)
-            except ReproError as exc:
-                results.append(_err(r["id"], "invalid_query", str(exc)))
-        if windows:
-            try:
-                outs = evaluate_tiles_based(snap.index, windows, None)
-                for (rid, count_only), ids in zip(wmeta, outs):
-                    n = int(ids.shape[0])
-                    result = (
-                        {"count": n}
-                        if count_only
-                        else {"ids": ids.tolist(), "count": n}
-                    )
-                    results.append({"id": rid, "ok": True, "result": result})
-            except Exception as exc:
-                for rid, _ in wmeta:
-                    results.append(_err(rid, "internal", repr(exc)))
-        if disks:
-            try:
-                outs = evaluate_disk_tiles_based(snap.index, disks, None)
-                for rid, ids in zip(dmeta, outs):
-                    results.append(
-                        {
-                            "id": rid,
-                            "ok": True,
-                            "result": {
-                                "ids": ids.tolist(),
-                                "count": int(ids.shape[0]),
-                            },
-                        }
-                    )
-            except Exception as exc:
-                for rid in dmeta:
-                    results.append(_err(rid, "internal", repr(exc)))
-        for r in singles:
-            results.append(self._run_single(snap, r))
+        reqs = frame["reqs"]
+        outcomes = snap.evaluate([(r["verb"], r["args"]) for r in reqs])
         return {
             "t": "batch_r",
             "bid": frame["bid"],
             "epoch": snap.version,
             "kernel_ms": round((time.perf_counter() - t0) * 1e3, 3),
-            "results": results,
+            "results": [
+                {"id": r["id"], **outcome} for r, outcome in zip(reqs, outcomes)
+            ],
         }
-
-    def _run_single(self, snap: Snapshot, r: dict[str, Any]) -> dict[str, Any]:
-        verb = r["verb"]
-        args = r["args"]
-        try:
-            if verb == "window":  # predicate="within" (intersects is batched)
-                window = Rect(args["xl"], args["yl"], args["xu"], args["yu"])
-                ids = snap.index.window_query_within(window)
-                result = {"ids": ids.tolist(), "count": int(ids.shape[0])}
-            elif verb == "knn":
-                # Global search on this worker's full state: the k-th
-                # distance bound is a global property, so knn is routed
-                # whole to one worker, never banded.
-                ids = knn_query(
-                    snap.index.global_view(),
-                    snap.data,
-                    args["cx"],
-                    args["cy"],
-                    args["k"],
-                )
-                result = {"ids": ids.tolist(), "count": int(ids.shape[0])}
-            else:
-                return _err(r["id"], "internal", f"unroutable verb {verb!r}")
-            return {"id": r["id"], "ok": True, "result": result}
-        except InvalidQueryError as exc:
-            return _err(r["id"], "invalid_query", str(exc))
-        except ReproError as exc:
-            return _err(r["id"], "internal", str(exc))
-        except Exception as exc:
-            return _err(r["id"], "internal", repr(exc))
 
     # -- writes ------------------------------------------------------------
 
     def apply_write(self, frame: dict[str, Any]) -> dict[str, Any]:
-        verb = frame["verb"]
-        args = frame["args"]
         try:
-            if verb == "insert":
-                rect = Rect(args["xl"], args["yl"], args["xu"], args["yu"])
-                obj_id, version = self.store.insert(rect)
-                result = {"id": obj_id, "snapshot": version}
-            else:
-                found, version = self.store.delete(args["id"])
-                result = {"found": found, "snapshot": version}
+            result, version = self.store.apply(frame["verb"], frame["args"])
         except ReproError as exc:
             return {
                 "t": "write_r",

@@ -256,6 +256,23 @@ class TestKnn:
         got = knn_query(index, data, 1.5, -0.5, 7)
         assert got.tolist() == self._truth(data, 1.5, -0.5, 7).tolist()
 
+    @pytest.mark.parametrize(
+        "cx, cy", [(1.5, 0.5), (3.0, 0.5), (10.0, 10.0), (-5.0, -5.0), (1e6, 0.5)]
+    )
+    def test_query_point_far_outside_domain(self, setup, cx, cy):
+        # the search radius must be able to reach the domain from afar
+        data, index = setup
+        got = knn_query(index, data, cx, cy, 5)
+        assert got.tolist() == self._truth(data, cx, cy, 5).tolist()
+
+    def test_fewer_live_objects_than_k(self):
+        data = generate_uniform_rects(50, area=1e-4, seed=98)
+        index = TwoLayerGrid.build(data, partitions_per_dim=4)
+        for victim in (3, 17, 40):
+            index.delete(data.rect(victim), victim)
+        got = knn_query(index, data, 0.5, 0.5, 49)
+        assert sorted(got.tolist()) == sorted(set(range(50)) - {3, 17, 40})
+
     def test_query_point_inside_an_object(self, setup):
         data, index = setup
         # Use an existing object's centre: distance 0 ties exist.

@@ -85,6 +85,7 @@ class TestShardedEndToEnd:
                 self._check_parity(c1, c2, trials=25)
                 self._check_writes(c1, c2)
                 self._check_trace_hop(c2)
+                self._check_hostile_inputs((h1, p1), (h2, p2))
                 self._check_dead_worker(c1, c2)
             sharded.send_signal(signal.SIGTERM)
             single.send_signal(signal.SIGTERM)
@@ -150,6 +151,32 @@ class TestShardedEndToEnd:
             if t.get("trace") == "e2e-trace-1"
         ]
         assert hits and hits[0].get("shards"), hits
+
+    def _check_hostile_inputs(self, *addrs):
+        # Regression: a non-finite knn point crashed the router's routing
+        # step, leaving the whole batch unanswered (client timeout).
+        t0 = time.monotonic()
+        clients = [SpatialClient(h, p, timeout=5.0) for h, p in addrs]
+        try:
+            for cli in clients:
+                for cx in (float("nan"), float("inf"), -float("inf")):
+                    with pytest.raises(ServerError) as exc:
+                        cli.knn(cx, 0.5, 3)
+                    assert exc.value.code == "invalid_query", exc.value
+            # A tile lookup overflowing on a huge finite window fails the
+            # router's scatter task, which must still answer, not hang.
+            for cli in clients:
+                try:
+                    cli.window(0.0, 0.0, 1e308, 1e308)
+                except ServerError as exc:
+                    assert exc.code == "internal", exc
+            assert time.monotonic() - t0 < 5.0
+            # a finite point far outside the domain still has k answers
+            answers = [cli.knn(5.0, 0.5, 10) for cli in clients]
+        finally:
+            for cli in clients:
+                cli.close()
+        assert len(answers[0]) == 10 and answers[0] == answers[1]
 
     def _check_dead_worker(self, c1, c2):
         pids = c2.stats()["shards"]["pids"]
