@@ -53,7 +53,7 @@ def main() -> None:
     # -- territory 2: a wedge (half-plane strip) --------------------------
     # North-west of the diagonal x + y <= 0.5, east of x >= 0.05.
     wedge = HalfPlaneStripRange([(1.0, 1.0, 0.5), (-1.0, 0.0, -0.05)])
-    in_wedge = convex_range_query(col.index, wedge)
+    in_wedge = convex_range_query(col.index, col.data, wedge)
     print(f"NW wedge territory:      {in_wedge.shape[0]:,} customers")
 
     # -- dashboards: estimate vs exact count ------------------------------
@@ -74,15 +74,12 @@ def main() -> None:
     # Sanity: polygon answers match a brute-force re-check on a sample.
     q = ConvexPolygonRange(downtown)
     sample = inside[:500]
-    assert all(
-        q.intersects_rects(
-            customers.xl[i : i + 1],
-            customers.yl[i : i + 1],
-            customers.xu[i : i + 1],
-            customers.yu[i : i + 1],
-        )[0]
-        for i in sample
-    )
+    assert q.intersects_rects(
+        customers.xl[sample],
+        customers.yl[sample],
+        customers.xu[sample],
+        customers.yu[sample],
+    ).all()
     print("\nsample verified against the exact polygon predicate")
 
 

@@ -409,7 +409,9 @@ class SpatialCollection:
         """Objects whose MBR intersects a convex polygon range (§IV-E)."""
         poly = ConvexPolygonRange(vertices)
         return self._run_query(
-            "polygon", lambda s: convex_range_query(self.index, poly, s), stats
+            "polygon",
+            lambda s: convex_range_query(self.index, self.data, poly, s),
+            stats,
         )
 
     def knn(

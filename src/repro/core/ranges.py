@@ -1,43 +1,40 @@
-"""Generic non-rectangular range queries on the two-layer grid (§IV-E).
+"""Convex range queries on the two-layer grid's window executor (§IV-E).
 
-The paper generalises disk queries to *any* query range: find the tiles
-intersecting the range, skip the classes that would produce duplicates
-(based on whether the previous tile per dimension also intersects the
-range), report fully-covered tiles without verification and verify
-rectangles in partially-covered tiles.
-
-This module implements that recipe for any **convex** range — convexity
-guarantees the per-row tile intervals are contiguous, which both the
-class-skipping rule and the canonical-tile test for classes B/D rely on
-(the same argument as :meth:`TwoLayerGrid.disk_query`).  Two concrete
-ranges are provided:
+The paper generalises disk queries to *any* query range.  For a
+**convex** range the window executor already does the hard part: every
+object that meets the range meets the range's bounding box, and a window
+query over that box reports each such object exactly once (Lemmas 1-2,
+Algorithm 1).  A convex range query is therefore that window query plus
+one exact, vectorised predicate over the candidates' MBRs — a
+separating-axis test against the range's vertex ring (box axes plus the
+ring's edge normals, closed boundaries).  Two concrete ranges are
+provided:
 
 * :class:`ConvexPolygonRange` — a convex polygon query region;
 * :class:`HalfPlaneStripRange` — the intersection of half-planes
   (e.g. "everything north-west of this line within the map"), a common
-  analytic region shape.
+  analytic region shape; it is evaluated as its clip box cut by the
+  half-planes, i.e. as a (possibly empty or degenerate) convex polygon.
 
-Disk queries keep their dedicated fast path in
-:meth:`TwoLayerGrid.disk_query`; this engine trades some speed for full
-generality and exactness (per-rectangle verification calls the range's
-own predicate).
+Disk queries keep their dedicated §IV-E path in
+:meth:`TwoLayerGrid.disk_query`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Protocol, Sequence
+import math
+from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro.datasets.dataset import RectDataset
 from repro.errors import InvalidQueryError
 from repro.geometry.mbr import Rect
 from repro.geometry.polygon import Polygon
-from repro.grid.base import CLASS_A, CLASS_B, CLASS_C, CLASS_D
 from repro.core.two_layer import TwoLayerGrid
 from repro.stats import QueryStats
 
 __all__ = [
-    "ConvexRange",
     "ConvexPolygonRange",
     "HalfPlaneStripRange",
     "convex_range_query",
@@ -46,69 +43,56 @@ __all__ = [
 _EMPTY_IDS = np.empty(0, dtype=np.int64)
 
 
-class ConvexRange(Protocol):
-    """What the generic evaluator needs from a convex query range."""
+def _is_convex(xs: np.ndarray, ys: np.ndarray) -> bool:
+    """Do the ring's turns share one sign and add up to one turn at most?
 
-    def bounding_box(self) -> Rect:
-        """A rectangle containing the whole range."""
-
-    def classify_rect(self, rect: Rect) -> int:
-        """-1 if ``rect`` is disjoint from the range, 1 if fully covered
-        by it, 0 if partially overlapping (used per tile)."""
-
-    def intersects_rects(
-        self,
-        xl: np.ndarray,
-        yl: np.ndarray,
-        xu: np.ndarray,
-        yu: np.ndarray,
-    ) -> np.ndarray:
-        """Boolean mask: which of the given MBRs intersect the range."""
+    Zero-length edges are dropped first; collinear vertices turn by 0.
+    The total-turn bound rejects self-intersecting rings such as a
+    pentagram, whose turns all share a sign but wind twice.
+    """
+    ex = np.roll(xs, -1) - xs
+    ey = np.roll(ys, -1) - ys
+    keep = (ex != 0.0) | (ey != 0.0)
+    ex, ey = ex[keep], ey[keep]
+    nx, ny = np.roll(ex, -1), np.roll(ey, -1)
+    cross = ex * ny - ey * nx
+    turning = cross[np.abs(cross) >= 1e-15]
+    if not ((turning > 0).all() or (turning < 0).all()):
+        return False
+    total = float(np.arctan2(cross, ex * nx + ey * ny).sum())
+    return abs(total) <= 2.0 * math.pi + 1e-9
 
 
 class ConvexPolygonRange:
     """A convex-polygon query range.
 
     Vertices may be given in either orientation; convexity is validated
-    (the two-layer evaluation relies on it for duplicate avoidance).
+    (the window-plus-predicate evaluation relies on it).
     """
 
     def __init__(self, vertices: "Sequence[tuple[float, float]]"):
-        self.polygon = Polygon(vertices)
-        if not self._is_convex():
+        ring = np.asarray(Polygon(vertices).vertices, dtype=np.float64)
+        if not _is_convex(ring[:, 0], ring[:, 1]):
             raise InvalidQueryError(
                 "ConvexPolygonRange requires a convex polygon; use multiple "
                 "convex pieces for concave regions"
             )
+        self._set_ring(ring)
 
-    def _is_convex(self) -> bool:
-        pts = self.polygon.vertices
-        n = len(pts)
-        sign = 0
-        for i in range(n):
-            ax, ay = pts[i]
-            bx, by = pts[(i + 1) % n]
-            cx, cy = pts[(i + 2) % n]
-            cross = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-            if abs(cross) < 1e-15:
-                continue
-            s = 1 if cross > 0 else -1
-            if sign == 0:
-                sign = s
-            elif s != sign:
-                return False
-        return True
+    def _set_ring(self, ring: np.ndarray) -> None:
+        """Store the vertex ring counter-clockwise (shoelace sign)."""
+        xs, ys = ring[:, 0], ring[:, 1]
+        if float(np.dot(xs, np.roll(ys, -1)) - np.dot(np.roll(xs, -1), ys)) < 0:
+            ring = ring[::-1]
+        self._ring = ring
 
-    def bounding_box(self) -> Rect:
-        return self.polygon.mbr()
-
-    def classify_rect(self, rect: Rect) -> int:
-        if not self.polygon.intersects_rect(rect):
-            return -1
-        # Convexity: all four corners inside <=> rect fully covered.
-        if all(self.polygon.contains_point(x, y) for x, y in rect.corners()):
-            return 1
-        return 0
+    def bounding_box(self) -> "Rect | None":
+        """The range's MBR (``None`` for an empty range)."""
+        if self._ring.shape[0] == 0:
+            return None
+        lo = self._ring.min(axis=0)
+        hi = self._ring.max(axis=0)
+        return Rect(float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1]))
 
     def intersects_rects(
         self,
@@ -117,20 +101,34 @@ class ConvexPolygonRange:
         xu: np.ndarray,
         yu: np.ndarray,
     ) -> np.ndarray:
-        out = np.empty(xl.shape[0], dtype=bool)
-        for i in range(xl.shape[0]):
-            out[i] = self.polygon.intersects_rect(
-                Rect(float(xl[i]), float(yl[i]), float(xu[i]), float(yu[i]))
-            )
-        return out
+        """Boolean mask: which of the given MBRs meet the range.
+
+        Separating-axis test with closed boundaries.  The two box axes
+        are the bounding-box overlap; per counter-clockwise edge
+        ``a -> b``, a rectangle is separated iff even its corner farthest
+        to the left of the edge lies strictly to its right.
+        """
+        box = self.bounding_box()
+        if box is None:
+            return np.zeros(np.shape(xl), dtype=bool)
+        mask = (xl <= box.xu) & (xu >= box.xl) & (yl <= box.yu) & (yu >= box.yl)
+        ring = self._ring.tolist()
+        for (ax, ay), (bx, by) in zip(ring, ring[1:] + ring[:1]):
+            ex, ey = bx - ax, by - ay
+            px = xl if ey > 0 else xu
+            py = yu if ex > 0 else yl
+            mask &= ex * (py - ay) - ey * (px - ax) >= 0
+        return mask
 
 
-class HalfPlaneStripRange:
+class HalfPlaneStripRange(ConvexPolygonRange):
     """Intersection of half-planes ``a*x + b*y <= c``, clipped to a box.
 
     A flexible convex region for analytic queries ("south of this road,
     west of this meridian").  The clip box bounds the otherwise unbounded
-    intersection so a bounding box exists.
+    intersection; the region is the box cut by every half-plane in turn
+    (Sutherland-Hodgman), a convex ring that may be empty, a segment or a
+    point.
     """
 
     def __init__(
@@ -142,136 +140,38 @@ class HalfPlaneStripRange:
         if not self.half_planes:
             raise InvalidQueryError("need at least one half-plane")
         self.clip = clip if clip is not None else Rect(0.0, 0.0, 1.0, 1.0)
-
-    def bounding_box(self) -> Rect:
-        return self.clip
-
-    def _corners_inside(self, rect: Rect) -> int:
-        count = 0
-        for x, y in rect.corners():
-            if all(a * x + b * y <= c + 1e-12 for a, b, c in self.half_planes):
-                count += 1
-        return count
-
-    def classify_rect(self, rect: Rect) -> int:
-        clipped = rect.intersection(self.clip)
-        if clipped is None:
-            return -1
-        inside = self._corners_inside(clipped)
-        if inside == 4:
-            return 1
-        if inside > 0:
-            return 0
-        # No corner inside: for an intersection of half-planes the region
-        # is convex, but it may still poke through an edge of the
-        # rectangle.  Conservative: test the rectangle against each
-        # half-plane; if the rect is entirely outside any half-plane it
-        # is disjoint, otherwise treat as partial (verification filters).
+        ring = list(self.clip.corners())
         for a, b, c in self.half_planes:
-            best = min(a * x + b * y for x, y in clipped.corners())
-            if best > c + 1e-12:
-                return -1
-        return 0
-
-    def intersects_rects(
-        self,
-        xl: np.ndarray,
-        yl: np.ndarray,
-        xu: np.ndarray,
-        yu: np.ndarray,
-    ) -> np.ndarray:
-        # A rect intersects the convex region iff, clipped to the box, it
-        # is not fully outside any half-plane AND the region's feasible
-        # point search succeeds.  For the shapes used here (axis-aligned
-        # clip + half-planes) the per-half-plane min test is exact when
-        # the region is full-dimensional; a final corner check firms up
-        # boundary cases.
-        n = xl.shape[0]
-        mask = np.ones(n, dtype=bool)
-        cxl = np.maximum(xl, self.clip.xl)
-        cyl = np.maximum(yl, self.clip.yl)
-        cxu = np.minimum(xu, self.clip.xu)
-        cyu = np.minimum(yu, self.clip.yu)
-        mask &= (cxl <= cxu) & (cyl <= cyu)
-        for a, b, c in self.half_planes:
-            # Minimum of a*x+b*y over the clipped rect.
-            min_val = (
-                np.where(a >= 0, a * cxl, a * cxu)
-                + np.where(b >= 0, b * cyl, b * cyu)
-            )
-            mask &= min_val <= c + 1e-12
-        return mask
+            cut: list[tuple[float, float]] = []
+            for (px, py), (qx, qy) in zip(ring, ring[1:] + ring[:1]):
+                sp = a * px + b * py - c
+                sq = a * qx + b * qy - c
+                if sp <= 0:
+                    cut.append((px, py))
+                if (sp < 0 < sq) or (sq < 0 < sp):
+                    t = sp / (sp - sq)
+                    cut.append((px + t * (qx - px), py + t * (qy - py)))
+            ring = cut
+        self._set_ring(np.asarray(ring, dtype=np.float64).reshape(-1, 2))
 
 
 def convex_range_query(
     index: TwoLayerGrid,
-    query: ConvexRange,
+    data: RectDataset,
+    query: ConvexPolygonRange,
     stats: "QueryStats | None" = None,
 ) -> np.ndarray:
     """Ids of all indexed MBRs intersecting a convex range — no duplicates.
 
-    The §IV-E recipe over any convex range: per-row contiguous tile
-    intervals, class skipping via previous-tile membership, covered-tile
-    fast path, and the canonical-tile test for classes B/D.
+    One window query over the range's bounding box (duplicate-free by
+    Lemmas 1-2), then the range's exact predicate over the candidates'
+    MBRs, gathered from ``data`` by id.
     """
-    if len(index) == 0:
+    box = query.bounding_box()
+    if box is None:
         return _EMPTY_IDS
-    grid = index.grid
-    bbox = query.bounding_box()
-    ix0, ix1, iy0, iy1 = grid.tile_range_for_window(bbox)
-
-    # Per-row contiguous span of intersecting tiles + coverage flags.
-    row_span: dict[int, tuple[int, int]] = {}
-    coverage: dict[tuple[int, int], int] = {}
-    for iy in range(iy0, iy1 + 1):
-        lo = None
-        hi = None
-        for ix in range(ix0, ix1 + 1):
-            kind = query.classify_rect(grid.tile_rect(ix, iy))
-            if kind >= 0:
-                coverage[(ix, iy)] = kind
-                if lo is None:
-                    lo = ix
-                hi = ix
-        if lo is not None:
-            row_span[iy] = (lo, hi)  # type: ignore[assignment]
-
-    pieces: list[np.ndarray] = []
-    for iy, (lx, rx) in row_span.items():
-        base = iy * grid.nx
-        prev_row = row_span.get(iy - 1)
-        for ix in range(lx, rx + 1):
-            tile_id = base + ix
-            if not index._tile_has_rows(tile_id):
-                continue
-            if stats is not None:
-                stats.partitions_visited += 1
-            prev_x_in = ix > lx
-            prev_y_in = prev_row is not None and prev_row[0] <= ix <= prev_row[1]
-            codes = [CLASS_A]
-            if not prev_y_in:
-                codes.append(CLASS_B)
-            if not prev_x_in:
-                codes.append(CLASS_C)
-            if not prev_x_in and not prev_y_in:
-                codes.append(CLASS_D)
-            covered = coverage[(ix, iy)] == 1
-            for code in codes:
-                cols = index._partition_columns(tile_id, code)
-                if cols is None:
-                    continue
-                xl, yl, xu, yu, ids = cols
-                if ids.shape[0] == 0:
-                    continue
-                if stats is not None:
-                    stats.rects_scanned += ids.shape[0]
-                if covered:
-                    qual = np.ones(ids.shape[0], dtype=bool)
-                else:
-                    qual = query.intersects_rects(xl, yl, xu, yu)
-                if code in (CLASS_B, CLASS_D):
-                    qual &= index._canonical_keep(xl, yl, xu, iy, row_span, stats)
-                pieces.append(ids[qual])
-    if not pieces:
-        return _EMPTY_IDS
-    return np.concatenate(pieces)
+    ids = index.window_query(box, stats)
+    keep = query.intersects_rects(
+        data.xl[ids], data.yl[ids], data.xu[ids], data.yu[ids]
+    )
+    return ids[keep]

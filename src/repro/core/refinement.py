@@ -38,7 +38,6 @@ from repro.geometry.predicates import (
     geometry_intersects_disk,
     geometry_intersects_window,
 )
-from repro.grid.base import CLASS_A, CLASS_B, CLASS_C
 from repro.core.two_layer import TwoLayerGrid
 from repro.obs.tracing import span as trace_span
 from repro.stats import QueryStats
@@ -47,8 +46,7 @@ __all__ = ["REFINEMENT_MODES", "RefinementBreakdown", "RefinementEngine"]
 
 REFINEMENT_MODES = ("simple", "refavoid", "refavoid_plus")
 
-_STARTS_INSIDE_X = (CLASS_A, CLASS_B)
-_STARTS_INSIDE_Y = (CLASS_A, CLASS_C)
+_EMPTY_IDS = np.empty(0, dtype=np.int64)
 
 
 @dataclass
@@ -82,20 +80,6 @@ class RefinementBreakdown:
         self.refinement_tests += other.refinement_tests
         self.results += other.results
         self.queries += other.queries
-
-
-@dataclass
-class _Chunk:
-    """One filtering-output chunk with the context RefAvoid⁺ needs."""
-
-    ids: np.ndarray
-    xl: np.ndarray
-    yl: np.ndarray
-    xu: np.ndarray
-    yu: np.ndarray
-    code: int
-    at_x0: bool
-    at_y0: bool
 
 
 class RefinementEngine:
@@ -136,117 +120,94 @@ class RefinementEngine:
         track = breakdown if breakdown is not None else RefinementBreakdown()
 
         with trace_span("query.window"):
-            # Phase 1 — filtering: candidate MBRs via the two-layer index.
+            # Phase 1 — filtering; the index's own spans nest underneath.
             t0 = time.perf_counter()
-            with trace_span("filter.scan"):
-                chunks = [
-                    _Chunk(
-                        ids=ids if mask is None else ids[mask],
-                        xl=cols[0] if mask is None else cols[0][mask],
-                        yl=cols[1] if mask is None else cols[1][mask],
-                        xu=cols[2] if mask is None else cols[2][mask],
-                        yu=cols[3] if mask is None else cols[3][mask],
-                        code=cp.code,
-                        at_x0=plan.at_x0,
-                        at_y0=plan.at_y0,
-                    )
-                    for plan, cp, cols, mask, ids in self.index._window_chunks(
-                        window, stats
-                    )
-                ]
+            cand = self.index.window_query(window, stats)
             t1 = time.perf_counter()
             track.filtering_time += t1 - t0
-            n_candidates = sum(c.ids.shape[0] for c in chunks)
-            track.candidates += n_candidates
+            track.candidates += cand.shape[0]
 
             # Phase 2 — secondary filtering (Lemma 5).
-            certified: list[np.ndarray] = []
-            to_refine: list[np.ndarray] = []
+            certified = _EMPTY_IDS
+            to_refine = cand
             with trace_span("refine.secondary"):
-                if mode == "simple":
-                    to_refine = [c.ids for c in chunks]
-                else:
-                    for c in chunks:
-                        covered = self._window_coverage_mask(c, window, mode, stats)
-                        certified.append(c.ids[covered])
-                        to_refine.append(c.ids[~covered])
+                if mode != "simple":
+                    covered = self._window_coverage_mask(cand, window, mode, stats)
+                    certified = cand[covered]
+                    to_refine = cand[~covered]
             t2 = time.perf_counter()
             track.secondary_filter_time += t2 - t1
-            n_certified = sum(a.shape[0] for a in certified)
-            track.refinements_avoided += n_certified
+            track.refinements_avoided += certified.shape[0]
             if stats is not None:
-                stats.refinements_avoided += n_certified
+                stats.refinements_avoided += certified.shape[0]
 
             # Phase 3 — refinement: exact geometry tests on the rest.
             survivors: list[int] = []
             geometries = self.data.geometries
             with trace_span("refine.exact"):
-                for ids in to_refine:
-                    for oid in ids:
-                        oid = int(oid)
-                        track.refinement_tests += 1
-                        if stats is not None:
-                            stats.refinement_tests += 1
-                        if geometries is None or geometry_intersects_window(
-                            geometries[oid], window
-                        ):
-                            survivors.append(oid)
+                for oid in to_refine:
+                    oid = int(oid)
+                    track.refinement_tests += 1
+                    if stats is not None:
+                        stats.refinement_tests += 1
+                    if geometries is None or geometry_intersects_window(
+                        geometries[oid], window
+                    ):
+                        survivors.append(oid)
             t3 = time.perf_counter()
             track.refinement_time += t3 - t2
             track.queries += 1
 
-            parts = certified + [np.asarray(survivors, dtype=np.int64)]
-            out = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+            out = np.concatenate([certified, np.asarray(survivors, dtype=np.int64)])
             track.results += out.shape[0]
             return out
 
     def _window_coverage_mask(
         self,
-        c: _Chunk,
+        cand: np.ndarray,
         window: Rect,
         mode: str,
         stats: "QueryStats | None",
     ) -> np.ndarray:
         """Vectorised Lemma 5 test: is some projection covered by W's?
 
-        ``refavoid`` applies the full four-comparison test; in
-        ``refavoid_plus`` the class/tile context removes the comparisons
-        that are already decided (end of Section V).
+        ``refavoid`` applies the full four-comparison test.  In
+        ``refavoid_plus`` each candidate's tile context, read off its MBR,
+        removes the comparisons that are already decided (end of Section
+        V).  Per dimension, with ``s`` the offset of the object's start
+        tile from the window's first tile: ``s < 0`` — the object starts
+        before the window's first column or row (class C/D there), so it
+        cannot be covered and nothing is compared; ``s == 0`` — the full
+        two-comparison test; ``s > 0`` — the object starts inside an
+        interior tile, so ``W.xl < r.xl`` is known and only ``r.xu <=
+        W.xu`` is tested.
         """
-        n = c.ids.shape[0]
+        xl = self.data.xl[cand]
+        yl = self.data.yl[cand]
+        xu = self.data.xu[cand]
+        yu = self.data.yu[cand]
         if mode == "refavoid":
-            covered_x = (window.xl <= c.xl) & (c.xu <= window.xu)
-            covered_y = (window.yl <= c.yl) & (c.yu <= window.yu)
             if stats is not None:
-                stats.secondary_filter_comparisons += 4 * n
-            return covered_x | covered_y
+                stats.secondary_filter_comparisons += 4 * cand.shape[0]
+            return ((window.xl <= xl) & (xu <= window.xu)) | (
+                (window.yl <= yl) & (yu <= window.yu)
+            )
 
-        # refavoid_plus
-        comparisons = 0
-        if c.code in _STARTS_INSIDE_X:
-            if c.at_x0:
-                covered_x = (window.xl <= c.xl) & (c.xu <= window.xu)
-                comparisons += 2 * n
-            else:
-                # W starts before the tile: W.xl < r.xl is already known.
-                covered_x = c.xu <= window.xu
-                comparisons += n
-        else:
-            # Class starts before the tile in x while W starts inside it
-            # (these classes are only scanned at the query's first column):
-            # r.xl < T.xl <= W.xl, so x-coverage is impossible.
-            covered_x = np.zeros(n, dtype=bool)
-        if c.code in _STARTS_INSIDE_Y:
-            if c.at_y0:
-                covered_y = (window.yl <= c.yl) & (c.yu <= window.yu)
-                comparisons += 2 * n
-            else:
-                covered_y = c.yu <= window.yu
-                comparisons += n
-        else:
-            covered_y = np.zeros(n, dtype=bool)
+        grid = self.index.grid
+        ix0, _, iy0, _ = grid.tile_range_for_window(window)
+        sx = grid.tile_ix_array(xl) - ix0
+        sy = grid.tile_iy_array(yl) - iy0
+        inside_x, inside_y = sx >= 0, sy >= 0
+        covered_x = inside_x & (xu <= window.xu) & ((sx > 0) | (window.xl <= xl))
+        covered_y = inside_y & (yu <= window.yu) & ((sy > 0) | (window.yl <= yl))
         if stats is not None:
-            stats.secondary_filter_comparisons += comparisons
+            # one comparison per dimension where s >= 0, a second where s == 0
+            stats.secondary_filter_comparisons += int(
+                np.count_nonzero(inside_x)
+                + np.count_nonzero(sx == 0)
+                + np.count_nonzero(inside_y)
+                + np.count_nonzero(sy == 0)
+            )
         return covered_x | covered_y
 
     # -- disk queries -------------------------------------------------------------
@@ -277,7 +238,7 @@ class RefinementEngine:
             track.filtering_time += t1 - t0
             track.candidates += cand.shape[0]
 
-            certified = np.empty(0, dtype=np.int64)
+            certified = _EMPTY_IDS
             to_refine = cand
             with trace_span("refine.secondary"):
                 if mode == "refavoid":

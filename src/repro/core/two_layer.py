@@ -43,7 +43,7 @@ per-tile scans only — the reference the parity tests compare against.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -337,9 +337,9 @@ class TwoLayerGrid:
 
         The single tile-enumeration point of every fused kernel — banded
         subclasses (:mod:`repro.shard`) override this to drop tiles
-        outside their owned contiguous range, which bands the window,
-        within and chunk kernels at once (the per-class offsets walks
-        simply never see foreign tiles).
+        outside their owned contiguous range, which bands the window
+        accounting and the within kernel at once (the per-class offsets
+        walks simply never see foreign tiles).
         """
         nx = self.grid.nx
         return (
@@ -761,101 +761,6 @@ class TwoLayerGrid:
             pieces.append(ids if mask is None else ids[mask])
         if stats is not None:
             stats.visit_tile(tile_id, scanned, self._tile_live_rows(tile_id))
-
-    def _window_chunks(
-        self, window: Rect, stats: "QueryStats | None" = None
-    ) -> Iterator[
-        tuple[TilePlan, ClassPlan, tuple[np.ndarray, ...], "np.ndarray | None", np.ndarray]
-    ]:
-        """Yield candidate chunks of a window query.
-
-        Each item is ``(tile_plan, class_plan, columns, mask, ids)`` where
-        ``mask`` is the boolean qualification mask over the chunk
-        (``None`` means *all* rectangles qualify — the covered case).
-        Over the packed base a chunk is a whole (region, class) of the
-        fused kernel; in overlay tiles (and with no base at all) one
-        (tile, class).  The refinement machinery consumes the full
-        tuples; plain filtering only uses ``mask``/``ids``.
-        """
-        if self._n_objects == 0:
-            return
-        ix0, ix1, iy0, iy1 = self.grid.tile_range_for_window(window)
-        store = self._store
-        if store is None:
-            tiles = self._tiles
-            for iy in range(iy0, iy1 + 1):
-                base = iy * self.grid.nx
-                for ix in range(ix0, ix1 + 1):
-                    if base + ix not in tiles:
-                        continue
-                    plan = plan_tile(ix, iy, ix0, ix1, iy0, iy1)
-                    yield from self._tile_chunks(base + ix, window, plan, stats)
-            return
-        nx = self.grid.nx
-        delta = self._delta_tiles_in_range(ix0, ix1, iy0, iy1)
-        delta_arr = np.asarray(delta, dtype=np.int64) if delta else None
-        for ax, bx, ay, by, plan in window_regions(ix0, ix1, iy0, iy1):
-            tids = self._region_tids(ax, bx, ay, by)
-            if delta_arr is not None:
-                tids = tids[~np.isin(tids, delta_arr)]
-            if tids.shape[0] == 0:
-                continue
-            if stats is not None:
-                tile_tot = self._tile_live_counts(tids)
-                stats.partitions_visited += int(np.count_nonzero(tile_tot))
-            for cp in plan.classes:
-                keys = tids * 4 + cp.code
-                counts = store.live_counts_for(keys)
-                total = int(counts.sum())
-                if total == 0:
-                    continue
-                if stats is not None:
-                    stats.rects_scanned += total
-                    stats.comparisons += cp.n_comparisons * total
-                    name = CLASS_NAMES[cp.code]
-                    for _ in range(int(np.count_nonzero(counts))):
-                        stats.visit_class(name)
-                rows = store.gather(keys)
-                cols = (
-                    store.xl[rows],
-                    store.yl[rows],
-                    store.xu[rows],
-                    store.yu[rows],
-                    store.ids[rows],
-                )
-                mask = _window_class_mask(cp, window, *cols[:4])
-                yield plan, cp, cols, mask, cols[4]
-        for tile_id in delta:
-            plan = plan_tile(tile_id % nx, tile_id // nx, ix0, ix1, iy0, iy1)
-            yield from self._tile_chunks(tile_id, window, plan, stats)
-
-    def _tile_chunks(
-        self,
-        tile_id: int,
-        window: Rect,
-        plan: TilePlan,
-        stats: "QueryStats | None" = None,
-    ) -> Iterator[
-        tuple[TilePlan, ClassPlan, tuple[np.ndarray, ...], "np.ndarray | None", np.ndarray]
-    ]:
-        """Per-tile chunk generator behind :meth:`_window_chunks`."""
-        if stats is not None:
-            if self._store is not None and not self._tile_has_rows(tile_id):
-                return
-            stats.partitions_visited += 1
-        for cp in plan.classes:
-            cols = self._partition_columns(tile_id, cp.code)
-            if cols is None:
-                continue
-            xl, yl, xu, yu, ids = cols
-            if ids.shape[0] == 0:
-                continue
-            if stats is not None:
-                stats.rects_scanned += ids.shape[0]
-                stats.comparisons += cp.n_comparisons * ids.shape[0]
-                stats.visit_class(CLASS_NAMES[cp.code])
-            mask = _window_class_mask(cp, window, xl, yl, xu, yu)
-            yield plan, cp, cols, mask, ids
 
     def window_query_within(
         self, window: Rect, stats: "QueryStats | None" = None

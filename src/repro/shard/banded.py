@@ -22,7 +22,7 @@ invariant intact:
 
 The rest of the clamp rides on three parent hooks: :meth:`~repro.core
 .two_layer.TwoLayerGrid._region_tids` (window accounting and the fused
-within/chunk kernels),
+within kernel),
 :meth:`~repro.core.two_layer.TwoLayerGrid._tile_has_rows` (per-tile
 paths and the tiles-based batch evaluators) and
 :meth:`~repro.core.two_layer.TwoLayerGrid._fork_shell` (snapshot forks

@@ -145,14 +145,14 @@ class TestTwoLayerParity:
             assert np.array_equal(got_p, got_l)  # deterministic ranking
             assert sp.as_dict() == sl.as_dict()
 
-    def test_convex_range_query(self, pair):
+    def test_convex_range_query(self, pair, data):
         packed, legacy = pair
         poly = ConvexPolygonRange(
             [(0.2, 0.1), (0.8, 0.3), (0.7, 0.9), (0.25, 0.7)]
         )
         assert_query_parity(
-            lambda s: convex_range_query(packed, poly, s),
-            lambda s: convex_range_query(legacy, poly, s),
+            lambda s: convex_range_query(packed, data, poly, s),
+            lambda s: convex_range_query(legacy, data, poly, s),
         )
 
     def test_batch_evaluators(self, pair):

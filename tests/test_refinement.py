@@ -13,6 +13,9 @@ from repro.geometry import (
     geometry_intersects_window,
 )
 from repro.core import RefinementBreakdown, RefinementEngine, TwoLayerGrid
+from repro.core.selection import plan_tile
+from repro.geometry import Rect
+from repro.grid.base import CLASS_A, CLASS_B, CLASS_C
 from repro.stats import QueryStats
 
 from conftest import ids_set
@@ -144,3 +147,73 @@ class TestMbrOnlyDatasets:
             truth = ids_set(uniform_data.brute_force_window(w))
             for mode in ("simple", "refavoid", "refavoid_plus"):
                 assert ids_set(engine.window(w, mode)) == truth
+
+
+def per_tile_classification(index, window):
+    """Brute-force RefAvoid accounting, one candidate at a time.
+
+    Walks every tile of the window's range and every class its plan
+    scans (Lemmas 1-2), so each candidate is met once, in the tile and
+    class it is reported from.  Returns ``(candidates, covered,
+    refavoid_plus_comparisons)`` for the Lemma 5 filter of Section V.
+    """
+    ix0, ix1, iy0, iy1 = index.grid.tile_range_for_window(window)
+    candidates = covered = plus = 0
+    for iy in range(iy0, iy1 + 1):
+        for ix in range(ix0, ix1 + 1):
+            for cp in plan_tile(ix, iy, ix0, ix1, iy0, iy1).classes:
+                table = index.tile_class_table(ix, iy, cp.code)
+                if table is None:
+                    continue
+                for xl, yl, xu, yu, _ in zip(*table.columns()):
+                    r = Rect(float(xl), float(yl), float(xu), float(yu))
+                    if not r.intersects(window):
+                        continue
+                    candidates += 1
+                    covered += window.covers_in_dim(r, "x") or window.covers_in_dim(
+                        r, "y"
+                    )
+                    # a class starting before the tile in a dimension is
+                    # never covered there: no comparison; else two at the
+                    # window's first tile and one beyond it
+                    if cp.code in (CLASS_A, CLASS_B):
+                        plus += 2 if ix == ix0 else 1
+                    if cp.code in (CLASS_A, CLASS_C):
+                        plus += 2 if iy == iy0 else 1
+    return candidates, covered, plus
+
+
+def boundary_windows(index):
+    """Windows on tile boundaries, at the domain edges and over it all."""
+    g = index.grid
+    d = g.domain
+    a, b = g.tile_rect(4, 5), g.tile_rect(9, 11)
+    return [
+        Rect(a.xl, a.yl, b.xl, b.yl),  # every side on a tile boundary
+        Rect(a.xl, a.yl, a.xu, a.yu),  # exactly one tile
+        Rect(d.xl, d.yl, d.xl + 0.08, d.yu),  # left domain edge, full height
+        Rect(d.xu - 0.05, d.yu - 0.3, d.xu, d.yu),  # top-right corner
+        Rect(d.xl - 0.5, d.yl - 0.5, b.xu, a.yu),  # reaching past the domain
+        d,  # the whole domain
+    ]
+
+
+class TestRefinementCounters:
+    @pytest.mark.parametrize("mode", ["simple", "refavoid", "refavoid_plus"])
+    def test_counters_equal_per_candidate_classification(self, roads, engine, mode):
+        windows = boundary_windows(engine.index)
+        windows += list(generate_window_queries(roads, 6, 0.5, seed=43))
+        for w in windows:
+            breakdown, stats = RefinementBreakdown(), QueryStats()
+            got = engine.window(w, mode, breakdown=breakdown, stats=stats)
+            n, covered, plus = per_tile_classification(engine.index, w)
+            assert n == len(roads.brute_force_window(w))
+            avoided = 0 if mode == "simple" else covered
+            comparisons = {"simple": 0, "refavoid": 4 * n, "refavoid_plus": plus}
+            assert breakdown.candidates == n, w
+            assert breakdown.refinements_avoided == avoided, w
+            assert breakdown.refinement_tests == n - avoided, w
+            assert breakdown.results == len(got)
+            assert stats.refinements_avoided == avoided, w
+            assert stats.refinement_tests == n - avoided, w
+            assert stats.secondary_filter_comparisons == comparisons[mode], w

@@ -8,6 +8,10 @@ request list — valid and hostile — through both tiers and require the
 router-visible outcome to be identical: band-ordered concatenation
 equals the single result with no id twice, counts sum, kNN agrees, and
 error codes match (after the router's ``internal`` -> ``degraded``).
+Windows and counts, which the evaluator answers with the Section VI
+tiles-based sweep, are also pinned to the slab executor
+(``window_query``): same outcomes, same ``QueryStats`` and the same tile
+heat, on a plain index and on bands, with overlay rows and tombstones.
 """
 
 import math
@@ -18,6 +22,8 @@ import pytest
 from repro.core.two_layer import TwoLayerGrid
 from repro.datasets import generate_uniform_rects
 from repro.errors import ReproError
+from repro.geometry import Rect
+from repro.obs.live import HeatStats, TileHeatAccumulator
 from repro.server.protocol import decode_request, encode_request
 from repro.server.snapshot import SnapshotStore, parse_read
 from repro.shard.partition import plan_bands
@@ -192,3 +198,103 @@ def test_apply_is_deterministic_across_replicas():
         for i in loop.store.current.evaluate(probe)[0]["result"]["ids"]
     ]
     assert sorted(band_ids) == sorted(hit["result"]["ids"])
+
+
+WRITES = [
+    ("insert", {"xl": 0.40, "yl": 0.40, "xu": 0.41, "yu": 0.41}),
+    ("insert", {"xl": 0.05, "yl": 0.30, "xu": 0.62, "yu": 0.33}),  # many tiles
+    ("insert", {"xl": 0.25, "yl": 0.25, "xu": 0.25, "yu": 0.25}),  # tile corner
+    ("delete", {"id": 7}),
+    ("delete", {"id": 1500}),
+    ("delete", {"id": 3000}),  # an overlay row
+    ("insert", {"xl": 0.90, "yl": 0.10, "xu": 0.95, "yu": 0.12}),
+]
+
+
+def window_batch(seed=23):
+    """Windows and counts: random, on tile boundaries (1/16), at the
+    domain edges and over the whole domain."""
+    rng = np.random.default_rng(seed)
+    wins = [
+        (0.0, 0.0, 1.0, 1.0),
+        (0.25, 0.25, 0.5, 0.5),
+        (0.0625, 0.125, 0.0625, 0.875),
+        (-0.5, -0.5, 0.03, 1.5),
+        (0.97, 0.0, 1.0, 0.04),
+        (0.35, 0.35, 0.45, 0.45),
+    ]
+    for _ in range(14):
+        xs = sorted(rng.uniform(0, 1, 2))
+        ys = sorted(rng.uniform(0, 1, 2))
+        wins.append((xs[0], ys[0], xs[1], ys[1]))
+    reqs = []
+    for k, w in enumerate(wins):
+        args = dict(zip(("xl", "yl", "xu", "yu"), map(float, w)))
+        reqs.append(("count" if k % 3 == 2 else "window", args))
+    return reqs
+
+
+def heat_stats(index):
+    return HeatStats(TileHeatAccumulator(index.grid.nx, index.grid.ny, 0.0))
+
+
+def assert_same_stats(a, b):
+    a.flush()
+    b.flush()
+    assert a.as_dict() == b.as_dict()
+    for name in ("scans", "rows", "present"):
+        assert np.array_equal(getattr(a.heat, name), getattr(b.heat, name)), name
+    assert a.heat.total_visits == b.heat.total_visits
+
+
+def assert_matches_slab_executor(snap, reqs):
+    """``Snapshot.evaluate`` (the Section VI tiles-based sweep) equals the
+    slab executor, ``window_query``: same outcomes, same counters, same
+    tile heat."""
+    got_stats = heat_stats(snap.index)
+    got = snap.evaluate(reqs, got_stats)
+    want_stats = heat_stats(snap.index)
+    for (verb, args), outcome in zip(reqs, got):
+        w = Rect(args["xl"], args["yl"], args["xu"], args["yu"])
+        ids = snap.index.window_query(w, want_stats)
+        assert outcome["ok"], (verb, args, outcome)
+        result = outcome["result"]
+        assert result["count"] == ids.shape[0], (verb, args)
+        if verb == "window":
+            assert sorted(result["ids"]) == sorted(ids.tolist()), args
+            assert len(set(result["ids"])) == len(result["ids"]), args
+        else:
+            assert set(result) == {"count"}
+    assert_same_stats(got_stats, want_stats)
+    return got
+
+
+def test_windows_and_counts_match_the_slab_executor():
+    index, data = make_index()
+    store = SnapshotStore(index, data)
+    reqs = window_batch()
+    assert_matches_slab_executor(store.current, reqs)
+    for verb, args in WRITES:
+        store.apply(verb, args)
+    snap = store.current
+    assert snap.index._tiles and snap.index._store.n_dead
+    assert_matches_slab_executor(snap, reqs)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_band_answers_match_the_slab_executor(k):
+    index, data = make_index()
+    plain = SnapshotStore(index, data)
+    loops = make_replicas(index, data, k)
+    for seq, (verb, args) in enumerate(WRITES):
+        plain.apply(verb, args)
+        for loop in loops:
+            loop.apply_write({"t": "write", "seq": seq, "verb": verb, "args": args})
+    reqs = window_batch(seed=29)
+    want = assert_matches_slab_executor(plain.current, reqs)
+    bands = [assert_matches_slab_executor(loop.store.current, reqs) for loop in loops]
+    for i, (verb, _) in enumerate(reqs):
+        assert sum(b[i]["result"]["count"] for b in bands) == want[i]["result"]["count"]
+        if verb == "window":
+            ids = [j for b in bands for j in b[i]["result"]["ids"]]
+            assert sorted(ids) == sorted(want[i]["result"]["ids"])
