@@ -36,18 +36,11 @@ def join_inputs():
     return r, s
 
 
-@pytest.mark.parametrize(
-    "variant",
-    ["2-layer (avoidance)", "2-layer (sweep)", "1-layer (refpoint)"],
-)
+@pytest.mark.parametrize("variant", ["2-layer (avoidance)", "1-layer (refpoint)"])
 def test_ext_spatial_join(benchmark, join_inputs, variant):
     r, s = join_inputs
     if variant == "1-layer (refpoint)":
         join = lambda: one_layer_spatial_join(r, s, partitions_per_dim=64)
-    elif variant == "2-layer (sweep)":
-        join = lambda: two_layer_spatial_join(
-            r, s, partitions_per_dim=64, algorithm="sweep"
-        )
     else:
         join = lambda: two_layer_spatial_join(r, s, partitions_per_dim=64)
 

@@ -68,9 +68,9 @@ def main() -> None:
     print(f"tiles-based batch:   {len(probes) / t_tiles:>10,.0f} probes/sec")
 
     # Scale out across worker processes (Section VI / Fig. 11); workers
-    # return per-probe counts only.  The sequential tiles-based line above
-    # is the one-worker rate (an inline run would hold every id at once).
-    for workers in (2, 4):
+    # return per-probe counts only, and one worker runs the same counting
+    # shard inline.
+    for workers in (1, 2, 4):
         t0 = time.perf_counter()
         counts = parallel_window_queries(index, probes, workers=workers, method="tiles")
         dt = time.perf_counter() - t0

@@ -25,7 +25,6 @@ from repro.core.decomposed import REQUIRED_TABLES, DecomposedTables
 from repro.core.estimate import SelectivityEstimator
 from repro.core.join import (
     ALLOWED_CLASS_COMBOS,
-    JOIN_ALGORITHMS,
     brute_force_join,
     one_layer_spatial_join,
     refine_join_pairs,
@@ -85,7 +84,6 @@ __all__ = [
     "brute_force_join",
     "refine_join_pairs",
     "ALLOWED_CLASS_COMBOS",
-    "JOIN_ALGORITHMS",
     "knn_query",
     "convex_range_query",
     "ConvexPolygonRange",

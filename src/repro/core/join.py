@@ -43,6 +43,7 @@ from repro.grid.base import (
     CLASS_D,
     CLASS_NAMES,
     GridPartitioner,
+    Replication,
     replicate,
 )
 from repro.grid.storage import group_rows
@@ -51,7 +52,6 @@ from repro.stats import QueryStats
 
 __all__ = [
     "ALLOWED_CLASS_COMBOS",
-    "JOIN_ALGORITHMS",
     "two_layer_spatial_join",
     "one_layer_spatial_join",
     "refine_join_pairs",
@@ -74,106 +74,36 @@ ALLOWED_CLASS_COMBOS: tuple[tuple[int, int], ...] = (
 )
 
 
-def _tile_class_tables(data: RectDataset, grid: GridPartitioner):
-    """tile id -> class code -> (xl, yl, xu, yu, ids) column tuples."""
-    rep = replicate(data, grid)
-    keys = rep.tile_ids * 4 + rep.class_codes
-    tiles: dict[int, dict[int, tuple]] = {}
-    for key, rows in group_rows(keys):
-        tile_id, code = divmod(key, 4)
-        obj = rep.obj_ids[rows]
-        tiles.setdefault(tile_id, {})[code] = (
-            data.xl[obj],
-            data.yl[obj],
-            data.xu[obj],
-            data.yu[obj],
-            obj,
+#: candidate pairs expanded at once: bounds memory on coarse grids,
+#: where one run can hold most of S.
+_CHUNK_PAIRS = 1 << 21
+
+
+def _join_grid(partitions_per_dim: int, domain: "Rect | None") -> GridPartitioner:
+    if partitions_per_dim < 1:
+        raise InvalidGridError(
+            f"partitions_per_dim must be >= 1, got {partitions_per_dim}"
         )
-    return tiles
-
-
-def _pairs_in_tables(table_r, table_s, stats: "QueryStats | None"):
-    """All intersecting (id_r, id_s) pairs between two column tables."""
-    rxl, ryl, rxu, ryu, rids = table_r
-    sxl, syl, sxu, syu, sids = table_s
-    out_r = []
-    out_s = []
-    # Loop the smaller side, test vectorised against the larger.
-    if rids.shape[0] <= sids.shape[0]:
-        for k in range(rids.shape[0]):
-            mask = (
-                (sxu >= rxl[k])
-                & (sxl <= rxu[k])
-                & (syu >= ryl[k])
-                & (syl <= ryu[k])
-            )
-            hit = sids[mask]
-            if hit.shape[0]:
-                out_r.append(np.full(hit.shape[0], rids[k], dtype=np.int64))
-                out_s.append(hit)
-        if stats is not None:
-            stats.comparisons += 4 * rids.shape[0] * sids.shape[0]
-    else:
-        for k in range(sids.shape[0]):
-            mask = (
-                (rxu >= sxl[k])
-                & (rxl <= sxu[k])
-                & (ryu >= syl[k])
-                & (ryl <= syu[k])
-            )
-            hit = rids[mask]
-            if hit.shape[0]:
-                out_r.append(hit)
-                out_s.append(np.full(hit.shape[0], sids[k], dtype=np.int64))
-        if stats is not None:
-            stats.comparisons += 4 * rids.shape[0] * sids.shape[0]
-    return out_r, out_s
-
-
-def _pairs_sweep(table_r, table_s, stats: "QueryStats | None"):
-    """Intersecting pairs via a forward plane-sweep on the x axis.
-
-    Both sides are sorted by ``xl``; for each rectangle the candidates of
-    the other side are the contiguous run whose ``xl`` does not exceed
-    its ``xu`` (found by binary search), on which only the y-overlap and
-    x-lower test remain.  Beats the nested loop on dense tiles where
-    x-sortedness prunes most candidate pairs.
-    """
-    rxl, ryl, rxu, ryu, rids = table_r
-    sxl, syl, sxu, syu, sids = table_s
-    order_r = np.argsort(rxl, kind="stable")
-    order_s = np.argsort(sxl, kind="stable")
-    rxl_s, ryl_s, rxu_s, ryu_s, rids_s = (
-        rxl[order_r], ryl[order_r], rxu[order_r], ryu[order_r], rids[order_r],
+    return GridPartitioner(
+        partitions_per_dim,
+        partitions_per_dim,
+        domain if domain is not None else Rect(0.0, 0.0, 1.0, 1.0),
     )
-    sxl_s, syl_s, sxu_s, syu_s, sids_s = (
-        sxl[order_s], syl[order_s], sxu[order_s], syu[order_s], sids[order_s],
-    )
-    out_r: list[np.ndarray] = []
-    out_s: list[np.ndarray] = []
-    # For every r: S-candidates start where s.xu >= r.xl could hold and
-    # end where s.xl > r.xu.  The upper cut is exact via searchsorted on
-    # the sorted s.xl; the remaining comparisons are vectorised.
-    uppers = np.searchsorted(sxl_s, rxu_s, side="right")
-    for k in range(rids_s.shape[0]):
-        hi = uppers[k]
-        if hi == 0:
-            continue
-        mask = (
-            (sxu_s[:hi] >= rxl_s[k])
-            & (syu_s[:hi] >= ryl_s[k])
-            & (syl_s[:hi] <= ryu_s[k])
-        )
-        if stats is not None:
-            stats.comparisons += 3 * int(hi)
-        hit = sids_s[:hi][mask]
-        if hit.shape[0]:
-            out_r.append(np.full(hit.shape[0], rids_s[k], dtype=np.int64))
-            out_s.append(hit)
-    return out_r, out_s
 
 
-JOIN_ALGORITHMS = ("nested", "sweep")
+def _sorted_replicas(
+    rep: Replication, values: np.ndarray, xl_sorted: np.ndarray, m: int
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Sorted replica keys ``(tile*4 + class)*m + rank(values[obj])`` and
+    the replicas' object ids in that order; ``rank(v)`` counts the
+    entries of ``xl_sorted`` that are ``<= v`` (searched with sorted
+    needles: several times faster than in data order)."""
+    order = np.argsort(values)
+    ranks = np.empty(values.shape[0], dtype=np.int64)
+    ranks[order] = np.searchsorted(xl_sorted, values[order], side="right")
+    keys = (rep.tile_ids * 4 + rep.class_codes) * m + ranks[rep.obj_ids]
+    order = np.argsort(keys)
+    return keys[order], rep.obj_ids[order]
 
 
 def two_layer_spatial_join(
@@ -182,66 +112,79 @@ def two_layer_spatial_join(
     partitions_per_dim: int = 64,
     domain: "Rect | None" = None,
     stats: "QueryStats | None" = None,
-    algorithm: str = "nested",
 ) -> np.ndarray:
     """All intersecting (r, s) id pairs — duplicate-free by construction.
 
     Returns an ``(n, 2)`` int array of ``[id_in_R, id_in_S]`` rows.  Only
     the nine allowed class combinations are evaluated per tile; no
-    deduplication of any kind runs.  ``algorithm`` selects the per-tile
-    pair enumeration: ``"nested"`` (vectorised loop over the smaller
-    side) or ``"sweep"`` (x-axis plane sweep, better for dense tiles).
+    deduplication of any kind runs.
+
+    Replicas are sorted on ``(tile*4 + class)*M + rank``, ``rank`` being
+    how many S objects have ``xl`` at most ``s.xl`` (S) or ``r.xu`` (R):
+    per R replica and allowed S class, the S replicas with ``s.xl <=
+    r.xu`` are one key run, found without float arithmetic.  Runs expand
+    by one ``repeat``/``arange`` per batch of ``_CHUNK_PAIRS`` candidates;
+    one mask applies the three remaining comparisons.
     """
-    if partitions_per_dim < 1:
-        raise InvalidGridError(
-            f"partitions_per_dim must be >= 1, got {partitions_per_dim}"
-        )
-    if algorithm not in JOIN_ALGORITHMS:
-        raise InvalidGridError(
-            f"unknown join algorithm {algorithm!r}; expected one of "
-            f"{JOIN_ALGORITHMS}"
-        )
-    grid = GridPartitioner(
-        partitions_per_dim,
-        partitions_per_dim,
-        domain if domain is not None else Rect(0.0, 0.0, 1.0, 1.0),
-    )
+    grid = _join_grid(partitions_per_dim, domain)
     with trace_span("query.join"):
         with trace_span("join.partition"):
-            tiles_r = _tile_class_tables(data_r, grid)
-            tiles_s = _tile_class_tables(data_s, grid)
+            m = len(data_s) + 1
+            xl_sorted = np.sort(data_s.xl)
+            keys_s, obj_s = _sorted_replicas(
+                replicate(data_s, grid), data_s.xl, xl_sorted, m
+            )
+            keys_r, obj_r = _sorted_replicas(
+                replicate(data_r, grid), data_r.xu, xl_sorted, m
+            )
 
-        out_r: list[np.ndarray] = []
-        out_s: list[np.ndarray] = []
         with trace_span("filter.scan"):
-            for tile_id, classes_r in tiles_r.items():
-                classes_s = tiles_s.get(tile_id)
-                if classes_s is None:
-                    continue
-                if stats is not None:
-                    stats.partitions_visited += 1
+            # One S run per R replica and allowed combination (sorted
+            # needles for every search).
+            groups_r = keys_r // m
+            by_class = [np.flatnonzero(groups_r % 4 == c) for c in range(4)]
+            los, his, objs = [], [], []
+            for code_r, code_s in ALLOWED_CLASS_COMBOS:
+                sel = by_class[code_r]
+                shift = (code_s - code_r) * m
+                los.append(np.searchsorted(keys_s, groups_r[sel] * m + shift))
+                his.append(np.searchsorted(keys_s, keys_r[sel] + shift, "right"))
+                objs.append(obj_r[sel])
+            lo = np.concatenate(los)
+            lengths = np.concatenate(his) - lo
+            run_obj = np.concatenate(objs)
+            ends = np.cumsum(lengths)
+            total = int(lengths.sum())
+            cuts = np.searchsorted(ends, range(_CHUNK_PAIRS, total, _CHUNK_PAIRS))
+            bounds = [0, *cuts.tolist(), lengths.shape[0]]
+            out = [np.empty((0, 2), dtype=np.int64)]
+            for a, b in zip(bounds, bounds[1:]):
+                run = lengths[a:b]
+                r = np.repeat(run_obj[a:b], run)
+                s = obj_s[
+                    np.repeat(lo[a:b] - np.cumsum(run) + run, run)
+                    + np.arange(run.sum())
+                ]
+                keep = (
+                    (data_s.xu[s] >= data_r.xl[r])
+                    & (data_s.yu[s] >= data_r.yl[r])
+                    & (data_s.yl[s] <= data_r.yu[r])
+                )
+                out.append(np.stack([r[keep], s[keep]], axis=1))
+            if stats is not None:
+                # A tile counts once if it holds both inputs, a
+                # combination once per tile with both groups non-empty.
+                gr, gs = np.unique(groups_r), np.unique(keys_s // m)
+                stats.partitions_visited += np.intersect1d(gr // 4, gs // 4).size
                 for code_r, code_s in ALLOWED_CLASS_COMBOS:
-                    table_r = classes_r.get(code_r)
-                    if table_r is None:
-                        continue
-                    table_s = classes_s.get(code_s)
-                    if table_s is None:
-                        continue
-                    if stats is not None:
-                        stats.visit_class(
-                            f"{CLASS_NAMES[code_r]}·{CLASS_NAMES[code_s]}"
-                        )
-                    if algorithm == "sweep":
-                        pr, ps = _pairs_sweep(table_r, table_s, stats)
-                    else:
-                        pr, ps = _pairs_in_tables(table_r, table_s, stats)
-                    out_r.extend(pr)
-                    out_s.extend(ps)
+                    own = gr[gr % 4 == code_r] + (code_s - code_r)
+                    label = f"{CLASS_NAMES[code_r]}·{CLASS_NAMES[code_s]}"
+                    for _ in range(int(np.isin(own, gs).sum())):
+                        stats.visit_class(label)
+                stats.comparisons += 3 * total
         with trace_span("dedup"):
             pass  # allowed class combinations produce each pair once
-        if not out_r:
-            return np.empty((0, 2), dtype=np.int64)
-        return np.stack([np.concatenate(out_r), np.concatenate(out_s)], axis=1)
+        return np.concatenate(out)
 
 
 def one_layer_spatial_join(
@@ -258,32 +201,22 @@ def one_layer_spatial_join(
     of ``r ∩ s`` — duplicates are generated and then eliminated, like the
     1-layer grid does for window queries.
     """
-    if partitions_per_dim < 1:
-        raise InvalidGridError(
-            f"partitions_per_dim must be >= 1, got {partitions_per_dim}"
-        )
-    grid = GridPartitioner(
-        partitions_per_dim,
-        partitions_per_dim,
-        domain if domain is not None else Rect(0.0, 0.0, 1.0, 1.0),
-    )
+    grid = _join_grid(partitions_per_dim, domain)
 
     def tile_tables(data):
         rep = replicate(data, grid)
         tiles = {}
         for tile_id, rows in group_rows(rep.tile_ids):
             obj = rep.obj_ids[rows]
-            tiles[tile_id] = (
-                data.xl[obj], data.yl[obj], data.xu[obj], data.yu[obj], obj,
-            )
+            cols = (data.xl, data.yl, data.xu, data.yu)
+            tiles[tile_id] = tuple(c[obj] for c in cols) + (obj,)
         return tiles
 
     with trace_span("query.join"):
         with trace_span("join.partition"):
             tiles_r = tile_tables(data_r)
             tiles_s = tile_tables(data_s)
-        out_r: list[np.ndarray] = []
-        out_s: list[np.ndarray] = []
+        out = [np.empty((0, 2), dtype=np.int64)]
         with trace_span("filter.scan"):
             for tile_id, table_r in tiles_r.items():
                 table_s = tiles_s.get(tile_id)
@@ -316,21 +249,13 @@ def one_layer_spatial_join(
                         stats.duplicates_generated += int(
                             hit.shape[0] - keep.sum()
                         )
-                    hit = hit[keep]
-                    if hit.shape[0]:
-                        out_r.append(
-                            np.full(hit.shape[0], rids[k], dtype=np.int64)
-                        )
-                        out_s.append(sids[hit])
+                    hit = sids[hit[keep]]
+                    out.append(np.stack([np.full_like(hit, rids[k]), hit], axis=1))
                 if stats is not None:
                     stats.comparisons += 4 * rids.shape[0] * sids.shape[0]
         with trace_span("dedup"):
-            # Reference-point dedup on r ∩ s runs interleaved per tile in
-            # the scan; counted via stats.dedup_checks.
-            pass
-        if not out_r:
-            return np.empty((0, 2), dtype=np.int64)
-        return np.stack([np.concatenate(out_r), np.concatenate(out_s)], axis=1)
+            pass  # interleaved with the scan, counted in dedup_checks
+        return np.concatenate(out)
 
 
 def refine_join_pairs(
@@ -358,19 +283,13 @@ def refine_join_pairs(
 
 def brute_force_join(data_r: RectDataset, data_s: RectDataset) -> np.ndarray:
     """Ground-truth O(|R| * |S|) join (testing / verification)."""
-    out_r = []
-    out_s = []
+    out = [np.empty((0, 2), dtype=np.int64)]
     for k in range(len(data_r)):
-        mask = (
+        hit = np.flatnonzero(
             (data_s.xu >= data_r.xl[k])
             & (data_s.xl <= data_r.xu[k])
             & (data_s.yu >= data_r.yl[k])
             & (data_s.yl <= data_r.yu[k])
-        )
-        hit = np.flatnonzero(mask)
-        if hit.shape[0]:
-            out_r.append(np.full(hit.shape[0], k, dtype=np.int64))
-            out_s.append(hit.astype(np.int64))
-    if not out_r:
-        return np.empty((0, 2), dtype=np.int64)
-    return np.stack([np.concatenate(out_r), np.concatenate(out_s)], axis=1)
+        ).astype(np.int64)
+        out.append(np.stack([np.full_like(hit, k), hit], axis=1))
+    return np.concatenate(out)

@@ -27,8 +27,8 @@ Two entry points:
 Both return the per-query *result counts* (shipping full id arrays across
 process boundaries would measure pickling, not query evaluation; the
 paper's throughput numbers likewise count results without materialising
-them to a client).  ``workers=1`` runs inline, providing the speedup-1
-baseline.
+them to a client).  ``workers=1`` runs the same shard functions inline
+over a single shard, providing the speedup-1 baseline.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ import numpy as np
 
 from repro.errors import InvalidQueryError, ParallelExecutionError
 from repro.geometry.mbr import Rect
-from repro.core.batch import evaluate_queries_based, evaluate_tiles_based
 from repro.core.selection import plan_tile
 from repro.core.two_layer import TwoLayerGrid
 
@@ -71,23 +70,28 @@ def _init_worker(index) -> None:
     _STATE["index"] = index
 
 
-def _run_query_shard(payload) -> list[tuple[int, int]]:
-    """queries-based worker: evaluate whole queries from the payload."""
-    index = _STATE["index"]
+def _run_query_shard(payload, index=None) -> list[tuple[int, int]]:
+    """queries-based worker: evaluate whole queries from the payload.
+
+    Workers read the index from their fork state; the inline (one
+    worker) run passes it.
+    """
+    index = _STATE["index"] if index is None else index
     return [
         (qi, int(index.window_query(window).shape[0]))
         for qi, window in payload
     ]
 
 
-def _run_tile_shard(payload) -> list[tuple[int, int]]:
+def _run_tile_shard(payload, index=None) -> list[tuple[int, int]]:
     """tiles-based worker: drain the subtasks of a shard of tiles.
 
     ``payload`` is ``(windows, ranges, shard)`` where ``shard`` is a list
-    of ``(tile_id, [query indices])``.
+    of ``(tile_id, [query indices])``; ``index`` as for
+    :func:`_run_query_shard`.
     """
     windows, ranges, shard = payload
-    index = _STATE["index"]
+    index = _STATE["index"] if index is None else index
     grid = index.grid
     counts: dict[int, int] = {}
     for tile_id, q_list in shard:
@@ -203,13 +207,6 @@ class ParallelBatchEvaluator:
         counts = np.zeros(len(windows), dtype=np.int64)
         if not windows:
             return counts
-        if self._pool is None:
-            evaluator = (
-                evaluate_queries_based if method == "queries" else evaluate_tiles_based
-            )
-            for qi, ids in enumerate(evaluator(self.index, windows)):
-                counts[qi] = ids.shape[0]
-            return counts
 
         if method == "queries":
             payloads = [
@@ -236,7 +233,13 @@ class ParallelBatchEvaluator:
             ]
             run = _run_tile_shard
 
-        for shard_result in self._map_or_raise(run, payloads):
+        if self._pool is None:
+            # One worker: the same shard function over the one shard,
+            # inline — it counts as it goes, like the pool's workers.
+            results = [run(payload, self.index) for payload in payloads]
+        else:
+            results = self._map_or_raise(run, payloads)
+        for shard_result in results:
             for qi, cnt in shard_result:
                 counts[qi] += cnt
         return counts

@@ -154,11 +154,15 @@ class GridPartitioner:
 
     def tile_ix_array(self, xs: np.ndarray) -> np.ndarray:
         ixs = ((xs - self.domain.xl) / self.tile_w).astype(np.int64)
-        return np.clip(ixs, 0, self.nx - 1)
+        # In-place maximum/minimum: ~3x cheaper than np.clip on small
+        # arrays, and no temporary on large ones.
+        np.maximum(ixs, 0, out=ixs)
+        return np.minimum(ixs, self.nx - 1, out=ixs)
 
     def tile_iy_array(self, ys: np.ndarray) -> np.ndarray:
         iys = ((ys - self.domain.yl) / self.tile_h).astype(np.int64)
-        return np.clip(iys, 0, self.ny - 1)
+        np.maximum(iys, 0, out=iys)
+        return np.minimum(iys, self.ny - 1, out=iys)
 
 
 @dataclass(frozen=True)

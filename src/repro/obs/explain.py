@@ -538,7 +538,6 @@ def explain_join(
     data_s: Any,
     partitions_per_dim: int = 64,
     domain: "Rect | None" = None,
-    algorithm: str = "nested",
     baseline: bool = False,
 ) -> QueryPlan:
     """EXPLAIN a spatial join of two datasets.
@@ -566,7 +565,7 @@ def explain_join(
         family = "one_layer_spatial_join"
     else:
         runner = lambda s: two_layer_spatial_join(  # noqa: E731
-            data_r, data_s, partitions_per_dim, domain, s, algorithm
+            data_r, data_s, partitions_per_dim, domain, s
         )
         strategy = "avoid"
         family = "two_layer_spatial_join"
@@ -616,7 +615,6 @@ def explain_join(
             "r_objects": len(data_r),
             "s_objects": len(data_s),
             "partitions_per_dim": partitions_per_dim,
-            "algorithm": "one_layer" if baseline else algorithm,
         },
         index={
             "family": family,

@@ -6,6 +6,7 @@ import pytest
 from repro.datasets import generate_window_queries
 from repro.errors import InvalidQueryError
 from repro.core import (
+    ParallelBatchEvaluator,
     TwoLayerGrid,
     evaluate_queries_based,
     evaluate_tiles_based,
@@ -133,6 +134,33 @@ class TestParallel:
         got = parallel_window_queries(index, few, workers=4, method="tiles")
         expected = [len(ids) for ids in evaluate_queries_based(index, few)]
         assert got.tolist() == expected
+
+
+class TestInlineWorker:
+    """``workers=1`` runs the pool's shard functions inline (its counts
+    are checked against 2 and 3 workers in ``test_counts_match_sequential``)."""
+
+    @pytest.mark.parametrize("method", ["queries", "tiles"])
+    def test_one_worker_counts_without_holding_the_ids(
+        self, index, uniform_data, method
+    ):
+        import tracemalloc
+
+        from repro.geometry import Rect
+
+        # Whole-domain windows: every query returns every object.
+        windows = [Rect(0.0, 0.0, 1.0, 1.0)] * 200
+        with ParallelBatchEvaluator(index, workers=1) as pool:
+            pool.run(windows[:2], method=method)  # warm caches
+            tracemalloc.start()
+            try:
+                counts = pool.run(windows, method=method)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        total_ids = int(counts.sum())
+        assert total_ids == len(windows) * len(uniform_data)
+        assert peak < 8 * total_ids / 4, (peak, 8 * total_ids)
 
 
 class TestWorkerDeath:

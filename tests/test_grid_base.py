@@ -96,6 +96,27 @@ class TestGridPartitioner:
         for x, got in zip(xs, vec):
             assert got == g.tile_ix(float(x))
 
+    def test_vectorised_clamp_matches_scalar_both_axes(self):
+        g = GridPartitioner(7, 5, domain=Rect(-1.0, 2.0, 3.0, 4.5))
+        d = g.domain
+        for n, lo, hi, step, scalar, vector in (
+            (g.nx, d.xl, d.xu, g.tile_w, g.tile_ix, g.tile_ix_array),
+            (g.ny, d.yl, d.yu, g.tile_h, g.tile_iy, g.tile_iy_array),
+        ):
+            borders = lo + step * np.arange(n + 1)
+            coords = np.concatenate(
+                [
+                    np.linspace(lo, hi, 57),  # in-domain
+                    borders,  # tile boundaries
+                    np.nextafter(borders, -np.inf),
+                    [lo - 100.0, lo - step, lo - 1e-12, hi, hi + 1e-12, hi + 5.0],
+                ]
+            )
+            got = vector(coords)
+            assert got.dtype == np.int64
+            assert got.min() == 0 and got.max() == n - 1
+            assert got.tolist() == [scalar(float(c)) for c in coords]
+
     def test_custom_domain(self):
         g = GridPartitioner(2, 2, domain=Rect(10, 20, 30, 40))
         assert g.tile_ix(19.9) == 0

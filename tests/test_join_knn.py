@@ -74,6 +74,18 @@ class TestSpatialJoin:
         assert got.shape[0] == len(pair_set(got))
         assert pair_set(got) == pair_set(brute_force_join(r, s))
 
+    @pytest.mark.parametrize("grid", [1, 8])
+    def test_two_layer_chunked_expansion(self, join_inputs, grid, monkeypatch):
+        # Tiny chunks: runs split across many expansion batches, some
+        # batches empty, one run longer than a chunk.
+        import repro.core.join as join_mod
+
+        monkeypatch.setattr(join_mod, "_CHUNK_PAIRS", 7)
+        r, s = join_inputs
+        got = two_layer_spatial_join(r, s, partitions_per_dim=grid)
+        assert got.shape[0] == len(pair_set(got))
+        assert pair_set(got) == pair_set(brute_force_join(r, s))
+
     def test_join_is_not_symmetric_in_ids_but_in_content(self, join_inputs):
         r, s = join_inputs
         rs = pair_set(two_layer_spatial_join(r, s, 8))
@@ -138,23 +150,30 @@ class TestSpatialJoin:
         assert got.shape[0] == len(pair_set(got))
         assert pair_set(got) == pair_set(brute_force_join(r, s))
 
-    @pytest.mark.parametrize("grid", [1, 4, 16])
-    def test_sweep_algorithm_matches_nested(self, join_inputs, grid):
-        r, s = join_inputs
-        nested = two_layer_spatial_join(r, s, grid, algorithm="nested")
-        sweep = two_layer_spatial_join(r, s, grid, algorithm="sweep")
-        assert sweep.shape[0] == len(pair_set(sweep))
-        assert pair_set(sweep) == pair_set(nested)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), grid=st.integers(1, 12), self_join=st.booleans())
+    def test_property_lattice_joins_equal_brute_force(self, data, grid, self_join):
+        # Coordinates on half-tile multiples put edges exactly on tile
+        # borders and ties between r.xu and s.xl; the range reaches a
+        # tile beyond the domain on both sides, and equal draws give
+        # zero-width or zero-height MBRs.
+        coord = st.integers(-2, 2 * grid + 2).map(lambda k: k / (2 * grid))
 
-    def test_sweep_rejects_unknown_algorithm(self, join_inputs):
-        r, s = join_inputs
-        with pytest.raises(InvalidGridError):
-            two_layer_spatial_join(r, s, 4, algorithm="hash")
+        def rects(n):
+            out = []
+            for _ in range(n):
+                xl, xu = sorted(data.draw(st.tuples(coord, coord)))
+                yl, yu = sorted(data.draw(st.tuples(coord, coord)))
+                out.append(Rect(xl, yl, xu, yu))
+            return RectDataset.from_rects(out)
 
-    def test_sweep_self_join(self):
-        data = generate_uniform_rects(400, area=1e-3, seed=98)
-        got = two_layer_spatial_join(data, data, 8, algorithm="sweep")
-        assert pair_set(got) == pair_set(brute_force_join(data, data))
+        r = rects(data.draw(st.integers(1, 25)))
+        s = r if self_join else rects(data.draw(st.integers(1, 25)))
+        truth = pair_set(brute_force_join(r, s))
+        for join in (two_layer_spatial_join, one_layer_spatial_join):
+            got = join(r, s, partitions_per_dim=grid)
+            assert got.shape[0] == len(pair_set(got)), join.__name__
+            assert pair_set(got) == truth, join.__name__
 
 
 class TestRefinedJoin:
